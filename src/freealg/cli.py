@@ -12,6 +12,7 @@ import hashlib
 import json
 import sys
 import time
+from dataclasses import dataclass, field
 
 from . import derivative as deriv
 from . import malcev as mc
@@ -74,7 +75,19 @@ def _term_str(theory, t):
 
 
 # ---------------------------------------------------------------------------
-# Command handlers. Each returns (params, verdict, witnesses, extra, human).
+# Command handlers. Each returns a _Result.
+
+
+@dataclass
+class _Result:
+    """One command's report; exit_code overrides the code the verdict implies."""
+
+    params: dict
+    verdict: Verdict
+    human: list
+    witnesses: list = field(default_factory=list)
+    extra: dict = field(default_factory=dict)
+    exit_code: int | None = None
 
 
 def _cmd_prove(theory, args, budget):
@@ -83,7 +96,7 @@ def _cmd_prove(theory, args, budget):
     human = [f"{args.equation}: {_verdict_json(theory, v)['status']}"]
     if v.is_refuted:
         human.append(f"  countermodel of size {v.model.size}, assignment {v.assignment}")
-    return {"equation": args.equation}, v, [], {}, human
+    return _Result({"equation": args.equation}, v, human)
 
 
 def _cmd_models(theory, args, budget):
@@ -95,7 +108,7 @@ def _cmd_models(theory, args, budget):
     human = [f"{len(models)} models of size <= {args.size}"]
     for m in models:
         human.append(f"  size {m.size}: {m.nested_tables(theory)}")
-    return {"size": args.size}, v, [], {"models": tables}, human
+    return _Result({"size": args.size}, v, human, extra={"models": tables})
 
 
 def _cmd_free(theory, args, budget):
@@ -114,13 +127,13 @@ def _cmd_free(theory, args, budget):
     if carrier.dedup_unknown:
         human.append("  (warning: some equivalences undecided within budget)")
     extra = {"elements": elems, "dedup_unknown": carrier.dedup_unknown}
-    return {"vars": variables, "bound": args.bound}, v, elems, extra, human
+    return _Result({"vars": variables, "bound": args.bound}, v, human, elems, extra)
 
 
 def _cmd_idempotent(theory, args, budget):
     v = is_idempotent(theory, budget)
     human = [f"idempotent: {_verdict_json(theory, v)['status']}"]
-    return {}, v, [], {}, human
+    return _Result({}, v, human)
 
 
 def _scan_to_json(theory, report):
@@ -178,28 +191,28 @@ def _cmd_derivative(theory, args, budget, summary=False):
     }
     params = {"term_bound": args.term_bound, "q_bound": args.q_bound}
     witnesses = [_term_str(theory, e.term) for e in refuting]
-    return params, v, witnesses, extra, human
+    return _Result(params, v, human, witnesses, extra)
 
 
 def _cmd_malcev(theory, args, budget):
     m = mc.find_malcev_term(theory, args.bound, budget)
     if m is None:
         v = Unknown(f"no Mal'cev term up to size {args.bound}")
-        return {"bound": args.bound}, v, [], {}, [v.reason]
+        return _Result({"bound": args.bound}, v, [v.reason])
     v = Proved(f"Mal'cev term found: {_term_str(theory, m)}")
     human = [f"Mal'cev term: {_term_str(theory, m)}"]
-    return {"bound": args.bound}, v, [_term_str(theory, m)], {}, human
+    return _Result({"bound": args.bound}, v, human, [_term_str(theory, m)])
 
 
 def _cmd_hm_chain(theory, args, budget):
     chain = mc.find_hm_chain(theory, args.n, args.bound, budget)
     if chain is None:
         v = Unknown(f"no {args.n}-permutability chain up to size {args.bound}")
-        return {"n": args.n, "bound": args.bound}, v, [], {}, [v.reason]
+        return _Result({"n": args.n, "bound": args.bound}, v, [v.reason])
     terms = [_term_str(theory, t) for t in chain.terms]
     v = Proved(f"{args.n}-permutability chain found")
     human = [f"chain (n={args.n}): " + "; ".join(terms)]
-    return {"n": args.n, "bound": args.bound}, v, terms, {}, human
+    return _Result({"n": args.n, "bound": args.bound}, v, human, terms)
 
 
 def _cmd_shorten(theory, args, budget):
@@ -209,12 +222,12 @@ def _cmd_shorten(theory, args, budget):
     check = mc.verify_chain(theory, chain, budget)
     if not check.is_proved:
         v = Unknown(f"input chain did not verify: {check}")
-        return {"chain": args.chain}, v, [], {}, [v.reason]
+        return _Result({"chain": args.chain}, v, [v.reason])
     result = mc.shorten_chain(theory, chain, budget, s_bound=args.s_bound)
     if result.chain is None:
         v = result.verdict
         human = [f"could not shorten: {v.reason}"]
-        return {"chain": args.chain, "s_bound": args.s_bound}, v, [], {}, human
+        return _Result({"chain": args.chain, "s_bound": args.s_bound}, v, human)
     terms = [_term_str(theory, t) for t in result.chain.terms]
     v = result.verdict
     human = [
@@ -223,7 +236,7 @@ def _cmd_shorten(theory, args, budget):
         f"re-verification: {_verdict_json(theory, v)['status']}",
     ]
     extra = {"s": _term_str(theory, result.s), "chain": terms}
-    return {"chain": args.chain, "s_bound": args.s_bound}, v, terms, extra, human
+    return _Result({"chain": args.chain, "s_bound": args.s_bound}, v, human, terms, extra)
 
 
 def _cmd_kernel_report(theory, args, budget):
@@ -251,9 +264,9 @@ def _cmd_kernel_report(theory, args, budget):
         human.append("  3-permutability chain: " + "; ".join(chain_terms))
     if report.open_pairs:
         human.append(f"  pairs without s up to bound: {len(report.open_pairs)}")
-    exit_code = EXIT_REFUTED if report.status == "evidence_against" else _exit_code(v)
     params = {"pair_bound": args.pair_bound, "s_bound": args.s_bound}
-    return params, v, witnesses, extra, human, exit_code
+    exit_code = EXIT_REFUTED if report.status == "evidence_against" else None
+    return _Result(params, v, human, witnesses, extra, exit_code)
 
 
 def _cmd_preserve(theory, args, budget):
@@ -289,7 +302,7 @@ def _cmd_preserve(theory, args, budget):
         "carrier_bound": args.carrier_bound,
         "witness_bound": args.witness_bound,
     }
-    return params, v, [], extra, human
+    return _Result(params, v, human, extra=extra)
 
 
 _HANDLERS = {
@@ -388,11 +401,6 @@ def main(argv=None) -> int:
         budget = _budget(args)
         t0 = time.monotonic()
         result = _HANDLERS[args.command](theory, args, budget)
-        if len(result) == 6:
-            params, verdict, witnesses, extra, human, exit_code = result
-        else:
-            params, verdict, witnesses, extra, human = result
-            exit_code = _exit_code(verdict)
         elapsed_ms = int((time.monotonic() - t0) * 1000)
         report = {
             "command": args.command,
@@ -402,15 +410,15 @@ def main(argv=None) -> int:
                 "max_steps": budget.max_steps,
                 "max_model_size": budget.max_model_size,
             },
-            "params": params,
-            "verdict": _verdict_json(theory, verdict),
-            "witnesses": witnesses,
+            "params": result.params,
+            "verdict": _verdict_json(theory, result.verdict),
+            "witnesses": result.witnesses,
         }
-        report.update(extra)
+        report.update(result.extra)
         report["timing_ms"] = elapsed_ms
-        _print_report(args, report, human)
-        return exit_code
-    except (ParseError, TermError, DiagramError, FileNotFoundError, ValueError) as exc:
+        _print_report(args, report, result.human)
+        return result.exit_code if result.exit_code is not None else _exit_code(result.verdict)
+    except (ParseError, TermError, DiagramError, OSError, ValueError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -12,10 +12,9 @@ node expansion; in countermodel search a step is one constraint evaluation
 "cheap disproof first" actually cheap on theories whose finite model space
 is astronomically large.
 
-Results are pure functions of (theory, query, budget): the module-level
-caches only memoize work and charge consumers as if they had done it
-themselves, so verdicts do not depend on cache warmth. The caches are not
-guarded by locks; share theories across threads only behind your own.
+Results are pure functions of (theory, query, budget): work kept in the
+theory's memo (see Theory.derived) is charged to each consumer as if it had
+done the work itself, so verdicts do not depend on memo warmth.
 """
 
 from __future__ import annotations
@@ -151,12 +150,18 @@ class FiniteAlgebra:
 
     def satisfies(self, theory: Theory) -> bool:
         for eq in theory.equations:
-            vs = var_names(eq.lhs) + [v for v in var_names(eq.rhs) if v not in var_names(eq.lhs)]
+            vs = _eq_vars(eq.lhs, eq.rhs)
             for vals in product(range(self.size), repeat=len(vs)):
                 env = dict(zip(vs, vals))
                 if eval_term(self, eq.lhs, env) != eval_term(self, eq.rhs, env):
                     return False
         return True
+
+
+def _eq_vars(lhs: Term, rhs: Term) -> list[str]:
+    """Variables of lhs, then those only in rhs, in order of first occurrence."""
+    left = var_names(lhs)
+    return left + [v for v in var_names(rhs) if v not in left]
 
 
 def eval_term(algebra: FiniteAlgebra, t: Term, env: Mapping[str, int]) -> int:
@@ -174,10 +179,10 @@ def eval_term(algebra: FiniteAlgebra, t: Term, env: Mapping[str, int]) -> int:
 # Models of size k are enumerated by backtracking over table cells in a
 # fixed order: symbols sorted by (arity, declaration index), cells of each
 # table in row-major argument order, values tried ascending. The stream for
-# each (theory, k) is cached and shared; every cached model records the
+# each k is kept in the theory's memo; every model in it records the
 # cumulative node count at which it was found, so later consumers can charge
 # their own budgets as if they had run the search themselves. That keeps
-# results deterministic regardless of cache warmth.
+# results deterministic however far the stream has already run.
 
 
 def _postfix(t: Term, var_pos: Mapping[str, int]):
@@ -229,7 +234,7 @@ class _ModelSearch:
         self.tables = [[-1] * (k ** sig.arity(i)) for i in range(len(sig))]
         self.instances = []
         for eq in theory.equations:
-            vs = var_names(eq.lhs) + [v for v in var_names(eq.rhs) if v not in var_names(eq.lhs)]
+            vs = _eq_vars(eq.lhs, eq.rhs)
             pos = {v: i for i, v in enumerate(vs)}
             cl, cr = _postfix(eq.lhs, pos), _postfix(eq.rhs, pos)
             for env in product(range(k), repeat=len(vs)):
@@ -305,18 +310,6 @@ class _ModelSearch:
                 self.tables[sym][off] = -1
 
 
-_MODEL_STREAMS: dict[tuple[Theory, int], _ModelSearch] = {}
-
-
-def _stream(theory: Theory, k: int) -> _ModelSearch:
-    key = (theory, k)
-    if key not in _MODEL_STREAMS:
-        if len(_MODEL_STREAMS) > 512:
-            _MODEL_STREAMS.clear()
-        _MODEL_STREAMS[key] = _ModelSearch(theory, k)
-    return _MODEL_STREAMS[key]
-
-
 def find_models(theory: Theory, max_size: int) -> list[FiniteAlgebra]:
     """All models of the theory up to the given size, in enumeration order.
 
@@ -327,7 +320,7 @@ def find_models(theory: Theory, max_size: int) -> list[FiniteAlgebra]:
         raise ValueError("max_size must be >= 1")
     out = []
     for k in range(1, max_size + 1):
-        s = _stream(theory, k)
+        s = theory.derived(_ModelSearch, k)
         while not s.finished:
             s.advance(float("inf"))
         out.extend(alg for alg, _ in s.found)
@@ -340,10 +333,10 @@ def refute(theory: Theory, eq: Equation, budget: Budget = DEFAULT_BUDGET) -> Ver
     or Unknown when sizes or the step budget run out."""
     check_term(theory.signature, eq.lhs)
     check_term(theory.signature, eq.rhs)
-    vs = var_names(eq.lhs) + [v for v in var_names(eq.rhs) if v not in var_names(eq.lhs)]
+    vs = _eq_vars(eq.lhs, eq.rhs)
     spent = 0
     for k in range(1, budget.max_model_size + 1):
-        s = _stream(theory, k)
+        s = theory.derived(_ModelSearch, k)
         idx = 0
         prev_cost = 0
         assignments = list(product(range(k), repeat=len(vs)))
@@ -395,23 +388,16 @@ class _Rule:
     extra_vars: tuple[str, ...]
 
 
-_RULE_CACHE: dict[Theory, tuple[_Rule, ...]] = {}
-
-
 def _rules(theory: Theory) -> tuple[_Rule, ...]:
-    if theory not in _RULE_CACHE:
-        if len(_RULE_CACHE) > 512:
-            _RULE_CACHE.clear()
-        rules = []
-        for i, eq in enumerate(theory.equations):
-            if eq.lhs == eq.rhs:
-                continue
-            for lhs, rhs, fwd in ((eq.lhs, eq.rhs, True), (eq.rhs, eq.lhs, False)):
-                lv = set(var_names(lhs))
-                extra = tuple(v for v in var_names(rhs) if v not in lv)
-                rules.append(_Rule(lhs, rhs, i, fwd, extra))
-        _RULE_CACHE[theory] = tuple(rules)
-    return _RULE_CACHE[theory]
+    rules = []
+    for i, eq in enumerate(theory.equations):
+        if eq.lhs == eq.rhs:
+            continue
+        for lhs, rhs, fwd in ((eq.lhs, eq.rhs, True), (eq.rhs, eq.lhs, False)):
+            lv = set(var_names(lhs))
+            extra = tuple(v for v in var_names(rhs) if v not in lv)
+            rules.append(_Rule(lhs, rhs, i, fwd, extra))
+    return tuple(rules)
 
 
 def _match(pattern: Term, subject: Term, binding: dict) -> bool:
@@ -497,7 +483,7 @@ def prove(theory: Theory, eq: Equation, budget: Budget = DEFAULT_BUDGET) -> Verd
         return Unknown(f"distinct {nf.name} normal forms (not derivable)")
     cap = max(budget.max_term_size, eq.lhs.size, eq.rhs.size)
     pool = _query_pool(theory, eq.lhs, eq.rhs)
-    rules = _rules(theory)
+    rules = theory.derived(_rules)
     vis = ({eq.lhs: None}, {eq.rhs: None})
     frontier: list[list[Term]] = [[eq.lhs], [eq.rhs]]
     steps = 0
@@ -609,7 +595,7 @@ def _closure_min(theory, t, budget, rank):
         floor = key(App(theory.signature.constants()[0], ()))
     cap = max(budget.max_term_size, t.size)
     pool = _query_pool(theory, t)
-    rules = _rules(theory)
+    rules = theory.derived(_rules)
     best, best_key = t, key(t)
     if floor is not None and best_key == floor:
         return best
@@ -641,29 +627,22 @@ def _closure_min(theory, t, budget, rank):
 #
 # Searches (Mal'cev terms, witnesses, carrier dedup) need a fast "provably
 # equal / provably distinct / unknown" test. Distinctness goes through a
-# fingerprint over the first few cached models (a genuine countermodel, so
-# the answer matches what full refutation would eventually say); equality
-# goes through the exact normalizer or bounded proof search.
+# fingerprint over the small models kept in the theory's memo (a genuine
+# countermodel, so the answer matches what full refutation would eventually
+# say); equality goes through the exact normalizer or bounded proof search.
 
 _FINGERPRINT_SIZE = 2
 _FINGERPRINT_SPACE_CAP = 8192
 _FINGERPRINT_ASSIGNMENT_CAP = 4096
 
 
-def _fingerprint_models(theory: Theory, budget: Budget) -> list[FiniteAlgebra]:
-    """The (exhaustively enumerated) models used for quick distinctness
-    checks: every model of size <= 2, provided the table space is small.
-    Depends only on the theory, so results are cache-warmth independent."""
-    out = []
-    for k in range(1, min(_FINGERPRINT_SIZE, budget.max_model_size) + 1):
-        cells = sum(k ** a for _, a in theory.signature.symbols)
-        if k ** cells > _FINGERPRINT_SPACE_CAP:
-            break
-        s = _stream(theory, k)
-        while not s.finished:
-            s.advance(float("inf"))
-        out.extend(alg for alg, _ in s.found)
-    return out
+def _fingerprint_models(theory: Theory, limit: int) -> list[FiniteAlgebra]:
+    """The models used for quick distinctness checks: all of every size up
+    to limit whose table space is small."""
+    # the table space k ** cells grows with k and is a single point at k = 1
+    top = max(k for k in range(1, limit + 1)
+              if k ** sum(k ** a for _, a in theory.signature.symbols) <= _FINGERPRINT_SPACE_CAP)
+    return find_models(theory, top)
 
 
 def tri_equal(theory: Theory, a: Term, b: Term, budget: Budget = DEFAULT_BUDGET):
@@ -676,8 +655,8 @@ def tri_equal(theory: Theory, a: Term, b: Term, budget: Budget = DEFAULT_BUDGET)
         if nf.key(a) == nf.key(b):
             return ("proved", Proved(NormalFormCertificate(nf.name)))
         return ("refuted", None)
-    vs = var_names(a) + [v for v in var_names(b) if v not in var_names(a)]
-    for alg in _fingerprint_models(theory, budget):
+    vs = _eq_vars(a, b)
+    for alg in theory.derived(_fingerprint_models, min(_FINGERPRINT_SIZE, budget.max_model_size)):
         if alg.size ** len(vs) > _FINGERPRINT_ASSIGNMENT_CAP:
             continue
         for vals in product(range(alg.size), repeat=len(vs)):

@@ -155,11 +155,17 @@ def find_s(
     pre = decide(theory, compatibility_equation(p, q), budget)
     if not pre.is_proved:
         raise ValueError(f"pair is not compatible: p(x,x,y) = q(x,y,y) came back {pre}")
+    s = _first_s(theory, p, q, size_bound, budget)
+    return KernelWitness(p, q, s) if s is not None else None
+
+
+def _first_s(theory, p, q, size_bound, budget) -> Optional[Term]:
+    """First canonical s proving p = s(x,y,z,z) and q = s(x,x,y,z), or None."""
     for s in enumerate_terms(theory, QUATERNARY, size_bound):
         if _proved(theory, p, _q(s, _X, _Y, _Z, _Z), budget) and _proved(
             theory, q, _q(s, _X, _X, _Y, _Z), budget
         ):
-            return KernelWitness(p, q, s)
+            return s
     return None
 
 
@@ -293,7 +299,6 @@ def kernel_pair_report(
 ) -> KernelPairReport:
     if pair_bound < 1 or s_bound < 1:
         raise ValueError("bounds must be >= 1")
-    from .functor import free_algebra  # local import avoids a cycle
 
     if not theory.equations:
         report = KernelPairReport(
@@ -302,7 +307,7 @@ def kernel_pair_report(
             pair_bound=pair_bound,
             s_bound=s_bound,
         )
-        _scan_pairs(theory, pair_bound, s_bound, budget, report, free_algebra)
+        _scan_pairs(theory, pair_bound, s_bound, budget, report)
         return report
 
     m = find_malcev_term(theory, s_bound, budget)
@@ -321,7 +326,7 @@ def kernel_pair_report(
         pair_bound=pair_bound,
         s_bound=s_bound,
     )
-    _scan_pairs(theory, pair_bound, s_bound, budget, report, free_algebra)
+    _scan_pairs(theory, pair_bound, s_bound, budget, report)
 
     chain = find_hm_chain(theory, 3, s_bound, budget)
     if chain is not None:
@@ -340,7 +345,9 @@ def kernel_pair_report(
     return report
 
 
-def _scan_pairs(theory, pair_bound, s_bound, budget, report, free_algebra):
+def _scan_pairs(theory, pair_bound, s_bound, budget, report):
+    from .functor import free_algebra  # local import avoids a cycle
+
     carrier = free_algebra(theory, TERNARY, pair_bound, budget).elements
     for p in carrier:
         for q in carrier:
@@ -352,13 +359,8 @@ def _scan_pairs(theory, pair_bound, s_bound, budget, report, free_algebra):
                 continue
             if status == "refuted":
                 continue
-            found = None
-            for s in enumerate_terms(theory, QUATERNARY, s_bound):
-                if _proved(theory, p, _q(s, _X, _Y, _Z, _Z), budget) and _proved(
-                    theory, q, _q(s, _X, _X, _Y, _Z), budget
-                ):
-                    found = s
-                    break
+            # the cheap tri_equal filter above stands in for find_s's decide
+            found = _first_s(theory, p, q, s_bound, budget)
             report.pairs.append(PairScanEntry(p, q, found))
             if found is None:
                 report.open_pairs.append((p, q))

@@ -203,13 +203,6 @@ def _detect(theory: Theory) -> Optional[Normalizer]:
     return None
 
 
-_CACHE: dict[Theory, Optional[Normalizer]] = {}
-
-
 def catalog_normalizer(theory: Theory) -> Optional[Normalizer]:
     """The registered exact normalizer for this theory, if any."""
-    if theory not in _CACHE:
-        if len(_CACHE) > 256:
-            _CACHE.clear()
-        _CACHE[theory] = _detect(theory)
-    return _CACHE[theory]
+    return theory.derived(_detect)

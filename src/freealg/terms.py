@@ -8,7 +8,7 @@ contribute 1), so substituting a non-trivial term never shrinks a term.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product
 from typing import Iterator, Mapping, Optional, Sequence
 
@@ -137,18 +137,35 @@ class Equation:
 
 @dataclass(frozen=True)
 class Theory:
-    """A signature together with a finite set of defining equations."""
+    """A signature together with a finite set of defining equations.
+
+    What is derived from the theory alone lives in a memo (see derived) that
+    is ignored by ==, hash and repr and is filled without locks: share a
+    theory across threads only behind your own.
+    """
 
     signature: Signature
     equations: tuple[Equation, ...]
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for eq in self.equations:
             check_term(self.signature, eq.lhs)
             check_term(self.signature, eq.rhs)
 
+    def __getstate__(self):
+        # the memo may hold closures; a copy rebuilds it on first use
+        return {**self.__dict__, "_memo": {}}
+
     def app(self, name: str, *args: Term) -> App:
         return self.signature.app(name, *args)
+
+    def derived(self, build, *args):
+        """build(self, *args), memoized on (build, *args) for this theory's life."""
+        key = (build, *args)
+        if key not in self._memo:
+            self._memo[key] = build(self, *args)
+        return self._memo[key]
 
 
 # ---------------------------------------------------------------------------

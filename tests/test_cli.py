@@ -79,6 +79,13 @@ def test_parse_error_exits_3(tmp_path, capsys):
     assert main([str(bad), "idempotent"]) == 3  # wrong arg order is usage
     assert main(["idempotent", str(bad)]) == 3  # arity mismatch is a parse error
     assert main(["idempotent", str(tmp_path / "missing.th")]) == 3
+    capsys.readouterr()
+    # a crash must not exit with a verdict code
+    deep = "inv(" * 3000 + "x" + ")" * 3000
+    assert main(["prove", str(THEORIES / "groups.th"), f"{deep} = x"]) == 3
+    assert main(["prove", str(tmp_path), "x = x"]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and all(line.startswith("error: ") for line in err)
 
 
 def test_models_report(capsys):

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from freealg.dsl import parse_equation, parse_term, parse_theory
 from freealg.engine import (
@@ -16,7 +18,9 @@ from freealg.engine import (
 )
 from freealg.terms import Equation, Var
 
+from conftest import load
 from oracles import group_word, s3_group, z2_group
+from test_terms import terms_over
 
 
 def eq_of(th, text):
@@ -353,20 +357,63 @@ def test_abelian_catalog_agrees_with_exponent_oracle(abelian):
             assert not same
 
 
-def test_refute_verdicts_are_cache_warmth_independent(malcev_theory):
-    from freealg import engine as eng
-    from freealg.dsl import parse_equation
+_WARMTH_THEORIES = ("lattice.th", "three_perm.th", "malcev.th")
 
-    eq = parse_equation(malcev_theory.signature, "m(x, y, z) = m(x, z, y)")
+
+@pytest.fixture(scope="module")
+def warm_theories():
+    # every model stream of size <= 2 runs to exhaustion before any query
+    out = {}
+    for name in _WARMTH_THEORIES:
+        out[name] = load(name)
+        find_models(out[name], 2)
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_refute_verdicts_are_cache_warmth_independent(warm_theories, data):
+    name = data.draw(st.sampled_from(_WARMTH_THEORIES))
+    warm = warm_theories[name]
+    eq = Equation(data.draw(terms_over(warm.signature)), data.draw(terms_over(warm.signature)))
     tiny = Budget(max_term_size=6, max_steps=400, max_model_size=2)
 
-    eng._MODEL_STREAMS.clear()
-    cold = refute(malcev_theory, eq, tiny)
-    # fully materialize the streams, then ask again with the same budget
-    find_models(malcev_theory, 2)
-    warm = refute(malcev_theory, eq, tiny)
-    assert type(cold) is type(warm)
+    cold = refute(load(name), eq, tiny)  # a fresh parse starts with an empty memo
+    hot = refute(warm, eq, tiny)
+    assert type(cold) is type(hot)
     if cold.is_refuted:
-        assert cold.model == warm.model and cold.assignment == warm.assignment
+        assert cold.model == hot.model and cold.assignment == hot.assignment
     else:
-        assert cold.reason == warm.reason
+        assert cold.reason == hot.reason and cold.detail == hot.detail
+
+
+def test_engine_keeps_no_module_level_state(small_budget):
+    # what the engine derives from a theory lives on that theory: running it
+    # on a fresh one must grow no module-level container in freealg.*
+    import sys
+
+    from freealg.functor import free_algebra
+
+    def containers():
+        return {
+            (name, attr): len(value)
+            for name, mod in list(sys.modules.items())
+            if name == "freealg" or name.startswith("freealg.")
+            for attr, value in vars(mod).items()
+            if not attr.startswith("__") and isinstance(value, (dict, list, set))
+        }
+
+    bands = parse_theory(
+        """
+        signature: f/2
+        equations:
+          f(f(x, y), z) = f(x, f(y, z))
+          f(x, x) = x
+        """
+    )
+    before = containers()
+    assert decide(bands, eq_of(bands, "f(x, y) = f(y, x)"), small_budget).is_refuted
+    assert normalize(bands, term_of(bands, "f(f(x, x), y)"), small_budget) == term_of(bands, "f(x, y)")
+    free_algebra(bands, ("x", "y"), 3, small_budget)
+    assert bands._memo
+    assert containers() == before

@@ -1,3 +1,5 @@
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -134,6 +136,20 @@ def test_canonical_order_variables_before_symbols(groups):
 def test_roundtrip_fixed_theories(groups, abelian, semilattice, malcev_theory, lattice, empty_theory):
     for th in (groups, abelian, semilattice, malcev_theory, lattice, empty_theory):
         assert parse_theory(pretty_theory(th)) == th
+
+
+def test_parses_are_equal_but_keep_separate_memos():
+    from conftest import load
+    from freealg.engine import decide
+
+    a, b = load("groups.th"), load("groups.th")
+    assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+    decide(a, parse_equation(a.signature, "mul(x, y) = mul(y, x)"))
+    assert a._memo and not b._memo
+    assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+    # the memo holds closures (the catalog normalizer); a copy starts empty
+    c = pickle.loads(pickle.dumps(a))
+    assert c == a and not c._memo
 
 
 # hypothesis: random small theories round-trip, substitution composes
