@@ -127,9 +127,18 @@ class _Parser:
         return App(idx, tuple(args))
 
 
-def parse_theory(text: str) -> Theory:
-    """Parse the theory DSL; see the module docstring for the grammar."""
+def _parse(text: str, rule):
+    """rule(parser), with input nested past the interpreter's recursion
+    limit reported as a ParseError where the parser gave up."""
     p = _Parser(_tokenize(text))
+    try:
+        return rule(p)
+    except RecursionError:
+        line, col = p._where()
+    raise ParseError("term nested too deeply", line, col)
+
+
+def _theory(p: _Parser) -> Theory:
     p.expect("ident", "signature")
     p.expect("punct", ":")
     symbols = []
@@ -155,22 +164,31 @@ def parse_theory(text: str) -> Theory:
     return Theory(sig, tuple(equations))
 
 
+def parse_theory(text: str) -> Theory:
+    """Parse the theory DSL; see the module docstring for the grammar."""
+    return _parse(text, _theory)
+
+
 def parse_term(sig: Signature, text: str) -> Term:
-    p = _Parser(_tokenize(text))
-    t = p.term(sig)
-    if p.peek() is not None:
-        p.error("trailing input after term")
-    return t
+    def rule(p):
+        t = p.term(sig)
+        if p.peek() is not None:
+            p.error("trailing input after term")
+        return t
+
+    return _parse(text, rule)
 
 
 def parse_equation(sig: Signature, text: str) -> Equation:
-    p = _Parser(_tokenize(text))
-    lhs = p.term(sig)
-    p.expect("punct", "=")
-    rhs = p.term(sig)
-    if p.peek() is not None:
-        p.error("trailing input after equation")
-    return Equation(lhs, rhs)
+    def rule(p):
+        lhs = p.term(sig)
+        p.expect("punct", "=")
+        rhs = p.term(sig)
+        if p.peek() is not None:
+            p.error("trailing input after equation")
+        return Equation(lhs, rhs)
+
+    return _parse(text, rule)
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ done the work itself, so verdicts do not depend on memo warmth.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import product
 from typing import Mapping, Optional, Sequence
@@ -386,18 +387,31 @@ class _Rule:
     eq_index: int
     forward: bool
     extra_vars: tuple[str, ...]
+    # (v, n): the lhs binds v and v occurs n times in rhs
+    rhs_counts: tuple[tuple[str, int], ...]
 
 
-def _rules(theory: Theory) -> tuple[_Rule, ...]:
+def _rules(theory: Theory) -> tuple[tuple[_Rule, ...], ...]:
+    """Every axiom in both orientations, in axiom order, indexed by the head
+    of the subterm a rule can rewrite: entry s holds the rules whose lhs is
+    headed by symbol s or is a variable; the last entry, for a variable
+    subterm, holds only the latter."""
     rules = []
     for i, eq in enumerate(theory.equations):
         if eq.lhs == eq.rhs:
             continue
         for lhs, rhs, fwd in ((eq.lhs, eq.rhs, True), (eq.rhs, eq.lhs, False)):
-            lv = set(var_names(lhs))
+            lv = var_names(lhs)
             extra = tuple(v for v in var_names(rhs) if v not in lv)
-            rules.append(_Rule(lhs, rhs, i, fwd, extra))
-    return tuple(rules)
+            occ = Counter(s.name for _, s in positions(rhs) if type(s) is Var)
+            counts = tuple((v, n) for v, n in occ.items() if v in lv)
+            rules.append(_Rule(lhs, rhs, i, fwd, extra, counts))
+    var_headed = tuple(r for r in rules if type(r.lhs) is Var)
+    by_sym = tuple(
+        tuple(r for r in rules if type(r.lhs) is Var or r.lhs.sym == s)
+        for s in range(len(theory.signature))
+    )
+    return by_sym + (var_headed,)
 
 
 def _match(pattern: Term, subject: Term, binding: dict) -> bool:
@@ -416,11 +430,23 @@ def _match(pattern: Term, subject: Term, binding: dict) -> bool:
 
 
 def _neighbors(t: Term, rules, size_cap: int, pool: Sequence[Term]):
-    out = []
+    """Yield (new, rule, path, binding) for each one-step rewrite of t that
+    changes it and keeps it within size_cap: positions in preorder, rules in
+    axiom order, pool combinations for extra variables in product order.
+
+    The size of a rewrite is known from the match alone, so one over the cap
+    is dropped before any term is built; _step gives the proof step."""
     for path, sub in positions(t):
-        for rule in rules:
+        room = size_cap - t.size + sub.size
+        for rule in rules[sub.sym if type(sub) is App else -1]:
             binding: dict = {}
             if not _match(rule.lhs, sub, binding):
+                continue
+            # pool terms have size 1, so extra variables add nothing
+            size = rule.rhs.size
+            for v, n in rule.rhs_counts:
+                size += n * (binding[v].size - 1)
+            if size > room:
                 continue
             if rule.extra_vars:
                 combos = product(pool, repeat=len(rule.extra_vars))
@@ -428,15 +454,15 @@ def _neighbors(t: Term, rules, size_cap: int, pool: Sequence[Term]):
                 combos = (None,)
             for combo in combos:
                 b = binding if combo is None else {**binding, **dict(zip(rule.extra_vars, combo))}
-                new_sub = substitute(rule.rhs, b)
-                if t.size - sub.size + new_sub.size > size_cap:
-                    continue
-                new = replace_at(t, path, new_sub)
-                if new == t:
-                    continue
-                step = RewriteStep(t, new, rule.eq_index, rule.forward, path, tuple(sorted(b.items())))
-                out.append((new, step))
-    return out
+                new = replace_at(t, path, substitute(rule.rhs, b))
+                if new != t:
+                    yield new, rule, path, b
+
+
+def _step(before: Term, after: Term, rule: _Rule, path, binding: dict, flip=False) -> RewriteStep:
+    """The proof step of a rewrite from _neighbors; flip reads it backwards."""
+    forward = rule.forward != flip
+    return RewriteStep(before, after, rule.eq_index, forward, path, tuple(sorted(binding.items())))
 
 
 def _query_pool(theory: Theory, *terms: Term) -> list[Term]:
@@ -452,20 +478,20 @@ def _query_pool(theory: Theory, *terms: Term) -> list[Term]:
 
 
 def _splice(meet, vis_l, vis_r) -> RewriteTrace:
+    """The trace lhs -> meet -> rhs; vis maps a term to None (a root) or to
+    (parent, rule, path, binding), the rewrite that first reached it."""
     fwd = []
     cur = meet
     while vis_l[cur] is not None:
-        parent, step = vis_l[cur]
-        fwd.append(step)
+        parent, rule, path, binding = vis_l[cur]
+        fwd.append(_step(parent, cur, rule, path, binding))
         cur = parent
     fwd.reverse()
     back = []
     cur = meet
     while vis_r[cur] is not None:
-        parent, step = vis_r[cur]
-        back.append(
-            RewriteStep(step.after, step.before, step.eq_index, not step.forward, step.path, step.binding)
-        )
+        parent, rule, path, binding = vis_r[cur]
+        back.append(_step(cur, parent, rule, path, binding, flip=True))
         cur = parent
     return RewriteTrace(tuple(fwd + back))
 
@@ -495,10 +521,10 @@ def prove(theory: Theory, eq: Equation, budget: Budget = DEFAULT_BUDGET) -> Verd
             steps += 1
             if steps > budget.max_steps:
                 return Unknown("proof search step budget exhausted")
-            for new, step in _neighbors(t, rules, cap, pool):
+            for new, rule, path, binding in _neighbors(t, rules, cap, pool):
                 if new in vis[side]:
                     continue
-                vis[side][new] = (t, step)
+                vis[side][new] = (t, rule, path, binding)
                 if new in vis[other]:
                     # vis[0] is rooted at the lhs regardless of which side
                     # just expanded
@@ -608,7 +634,7 @@ def _closure_min(theory, t, budget, rank):
             steps += 1
             if steps > budget.max_steps:
                 return best
-            for new, _ in _neighbors(u, rules, cap, pool):
+            for new, *_ in _neighbors(u, rules, cap, pool):
                 if new in seen:
                     continue
                 seen.add(new)

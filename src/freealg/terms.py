@@ -176,10 +176,11 @@ def positions(t: Term) -> Iterator[tuple[tuple[int, ...], Term]]:
     """Preorder walk yielding (path, subterm); the root path is ()."""
     stack = [((), t)]
     while stack:
-        path, sub = stack.pop(0)
+        path, sub = stack.pop()
         yield path, sub
         if type(sub) is App:
-            stack[0:0] = [(path + (i,), a) for i, a in enumerate(sub.args)]
+            for i in range(len(sub.args) - 1, -1, -1):
+                stack.append((path + (i,), sub.args[i]))
 
 
 def subterm_at(t: Term, path: Sequence[int]) -> Term:

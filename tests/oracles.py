@@ -9,12 +9,13 @@ calling into the package's engine, so that the two routes stay independent:
   * term counting     - pure arithmetic recursion, no term objects
   * naive generation  - unordered set-based recursion
   * concrete groups   - Z2 by arithmetic, S3 by composing permutations
+  * rewrite neighbours - substitute every match, then check its size
 """
 
 from itertools import permutations, product
 
-from freealg.engine import FiniteAlgebra
-from freealg.terms import App, Term, Var
+from freealg.engine import FiniteAlgebra, RewriteStep
+from freealg.terms import App, Term, Var, replace_at, substitute
 
 
 # ---------------------------------------------------------------------------
@@ -173,3 +174,62 @@ def s3_group() -> FiniteAlgebra:
             q[p[i]] = i
         inv.append(index[tuple(q)])
     return FiniteAlgebra(6, (2, 1, 0), (mul, tuple(inv), (index[(0, 1, 2)],)))
+
+
+# ---------------------------------------------------------------------------
+# Rewrite neighbours the direct way: every match of every rule at every
+# position is instantiated in full, and only then checked against the size
+# cap and against being a no-op.
+
+
+def preorder_positions(t: Term, path=()):
+    """(path, subterm) pairs in preorder, by plain recursion."""
+    out = [(path, t)]
+    if type(t) is App:
+        for i, a in enumerate(t.args):
+            out += preorder_positions(a, path + (i,))
+    return out
+
+
+def _first_occurrences(t: Term):
+    names = []
+    for _, s in preorder_positions(t):
+        if type(s) is Var and s.name not in names:
+            names.append(s.name)
+    return names
+
+
+def _bind(pattern, subject, binding) -> bool:
+    if type(pattern) is Var:
+        cur = binding.setdefault(pattern.name, subject)
+        return cur == subject
+    if type(subject) is not App or subject.sym != pattern.sym:
+        return False
+    return all(_bind(p, s, binding) for p, s in zip(pattern.args, subject.args))
+
+
+def reference_neighbors(theory, t: Term, size_cap: int, pool):
+    """[(new, RewriteStep)] for each one-step rewrite of t that changes it and
+    stays within size_cap: positions in preorder, axioms in order and each
+    forwards then backwards, replacement-only variables taking every tuple
+    over pool in product order."""
+    rules = []
+    for i, eq in enumerate(theory.equations):
+        if eq.lhs != eq.rhs:
+            rules += [(eq.lhs, eq.rhs, i, True), (eq.rhs, eq.lhs, i, False)]
+    out = []
+    for path, sub in preorder_positions(t):
+        for lhs, rhs, eq_index, forward in rules:
+            binding = {}
+            if not _bind(lhs, sub, binding):
+                continue
+            extra = [v for v in _first_occurrences(rhs) if v not in binding]
+            for combo in product(pool, repeat=len(extra)):
+                b = {**binding, **dict(zip(extra, combo))}
+                new_sub = substitute(rhs, b)
+                if t.size - sub.size + new_sub.size > size_cap:
+                    continue
+                new = replace_at(t, path, new_sub)
+                if new != t:
+                    out.append((new, RewriteStep(t, new, eq_index, forward, path, tuple(sorted(b.items())))))
+    return out

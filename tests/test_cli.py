@@ -86,6 +86,7 @@ def test_parse_error_exits_3(tmp_path, capsys):
     assert main(["prove", str(tmp_path), "x = x"]) == 3
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 2 and all(line.startswith("error: ") for line in err)
+    assert err[0].endswith("term nested too deeply")
 
 
 def test_models_report(capsys):

@@ -8,6 +8,10 @@ from freealg.dsl import parse_equation, parse_term, parse_theory
 from freealg.engine import (
     Budget,
     RewriteTrace,
+    _neighbors,
+    _query_pool,
+    _rules,
+    _step,
     decide,
     eval_term,
     find_models,
@@ -16,10 +20,10 @@ from freealg.engine import (
     refute,
     replay,
 )
-from freealg.terms import Equation, Var
+from freealg.terms import App, Equation, Var
 
 from conftest import load
-from oracles import group_word, s3_group, z2_group
+from oracles import group_word, reference_neighbors, s3_group, z2_group
 from test_terms import terms_over
 
 
@@ -417,3 +421,63 @@ def test_engine_keeps_no_module_level_state(small_budget):
     free_algebra(bands, ("x", "y"), 3, small_budget)
     assert bands._memo
     assert containers() == before
+
+
+@pytest.fixture(scope="module")
+def named_theories():
+    return {name: load(name) for name in ("lattice.th", "three_perm.th", "malcev.th", "groups.th")}
+
+
+@st.composite
+def terms_upto(draw, sig, max_size):
+    """A term over sig and the variables x, y of size at most max_size,
+    filling a drawn size as far as the arities allow."""
+    budget = draw(st.integers(1, max_size))
+
+    def fill(budget):
+        heads = [i for i in range(len(sig)) if 0 < sig.arity(i) < budget]
+        if not heads:
+            leaves = [Var(v) for v in ("x", "y")] + [App(c, ()) for c in sig.constants()]
+            return draw(st.sampled_from(leaves))
+        head = draw(st.sampled_from(heads))
+        spare = budget - 1 - sig.arity(head)  # nodes beyond one per argument
+        args = []
+        for _ in range(sig.arity(head) - 1):
+            extra = draw(st.integers(0, spare))
+            spare -= extra
+            args.append(fill(1 + extra))
+        return App(head, tuple(args + [fill(1 + spare)]))
+
+    return fill(budget)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_neighbors_match_the_substitute_then_check_reference(named_theories, data):
+    th = named_theories[data.draw(st.sampled_from(sorted(named_theories)))]
+    t = data.draw(terms_upto(th.signature, 7))
+    cap = data.draw(st.integers(5, 9))
+    pool = _query_pool(th, t)
+    got = [
+        (new, _step(t, new, rule, path, binding))
+        for new, rule, path, binding in _neighbors(t, th.derived(_rules), cap, pool)
+    ]
+    assert got == reference_neighbors(th, t, cap, pool)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_every_proved_replays(named_theories, data):
+    th = named_theories[data.draw(st.sampled_from(("lattice.th", "three_perm.th", "malcev.th")))]
+    lhs = data.draw(terms_upto(th.signature, 7))
+    # a random walk of a few rewrites, so that most queries are provable and
+    # many proofs meet in the middle of the bidirectional search
+    rhs, pool = lhs, _query_pool(th, lhs)
+    for _ in range(data.draw(st.integers(1, 4))):
+        nbrs = reference_neighbors(th, rhs, 8, pool)
+        if nbrs:
+            rhs = data.draw(st.sampled_from(nbrs))[0]
+    eq = Equation(lhs, rhs)
+    v = prove(th, eq, Budget(max_term_size=8, max_steps=150, max_model_size=1))
+    if v.is_proved:
+        assert replay(th, eq, v)

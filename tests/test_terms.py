@@ -70,6 +70,17 @@ def test_parse_error_carries_position():
         pytest.fail("expected a parse error")
 
 
+def test_parse_deep_nesting_is_a_parse_error(groups):
+    deep = "inv(" * 3000 + "x" + ")" * 3000
+    with pytest.raises(ParseError, match="nested too deeply") as err:
+        parse_equation(groups.signature, deep + " = x")
+    assert err.value.line == 1 and 1 < err.value.col < len(deep)
+    with pytest.raises(ParseError, match="nested too deeply"):
+        parse_term(groups.signature, deep)
+    with pytest.raises(ParseError, match="nested too deeply"):
+        parse_theory(f"signature: inv/1 equations: {deep} = x")
+
+
 def test_bare_identifier_is_a_variable(groups):
     # constants must be written e(); a bare e is a variable
     t = parse_term(groups.signature, "mul(e, x)")
