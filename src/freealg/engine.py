@@ -10,7 +10,9 @@ Budget.max_steps is a unified work counter. In proof search a step is one
 node expansion; in countermodel search a step is one constraint evaluation
 (a cell-value attempt or one ground equation-instance check). This keeps
 "cheap disproof first" actually cheap on theories whose finite model space
-is astronomically large.
+is astronomically large. refute charges each model its stream cost, plus
+one step per assignment up to and including the first falsifying one, or
+all of them when none falsifies, however the evaluation is batched.
 
 Results are pure functions of (theory, query, budget): work kept in the
 theory's memo (see Theory.derived) is charged to each consumer as if it had
@@ -22,6 +24,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import product
+from operator import ne
 from typing import Mapping, Optional, Sequence
 
 from .normal_forms import catalog_normalizer
@@ -151,27 +154,118 @@ class FiniteAlgebra:
 
     def satisfies(self, theory: Theory) -> bool:
         for eq in theory.equations:
-            vs = _eq_vars(eq.lhs, eq.rhs)
-            for vals in product(range(self.size), repeat=len(vs)):
-                env = dict(zip(vs, vals))
-                if eval_term(self, eq.lhs, env) != eval_term(self, eq.rhs, env):
-                    return False
+            cl, cr, vs = _eq_code(eq.lhs, eq.rhs)
+            if _first_difference(self, cl, cr, theory.derived(_grid, self.size, len(vs))) is not None:
+                return False
         return True
 
 
-def _eq_vars(lhs: Term, rhs: Term) -> list[str]:
-    """Variables of lhs, then those only in rhs, in order of first occurrence."""
-    left = var_names(lhs)
-    return left + [v for v in var_names(rhs) if v not in left]
-
-
 def eval_term(algebra: FiniteAlgebra, t: Term, env: Mapping[str, int]) -> int:
-    """Bottom-up evaluation; raises on a variable missing from env."""
-    if type(t) is Var:
-        if t.name not in env:
-            raise TermError(f"unmapped variable {t.name!r}")
-        return env[t.name]
-    return algebra.op(t.sym, [eval_term(algebra, a, env) for a in t.args])
+    """Bottom-up evaluation; raises on the leftmost variable missing from env.
+
+    Kept apart from the column evaluator below, as an independent re-check
+    of the verdicts that evaluator produces."""
+    values: list[int] = []
+    stack = [(t, False)]
+    while stack:
+        s, ready = stack.pop()
+        if type(s) is Var:
+            if s.name not in env:
+                raise TermError(f"unmapped variable {s.name!r}")
+            values.append(env[s.name])
+        elif ready:
+            first = len(values) - len(s.args)
+            args = values[first:]
+            del values[first:]
+            values.append(algebra.op(s.sym, args))
+        else:
+            stack.append((s, True))
+            stack.extend((a, False) for a in reversed(s.args))
+    return values[0]
+
+
+# ---------------------------------------------------------------------------
+# Postfix code and column evaluation
+#
+# A term compiles to postfix code: (0, slot) pushes a variable, (1, sym,
+# arity) applies a symbol to the top arity values. Evaluated over the
+# assignment grid, a variable's value is its column and a symbol maps its
+# argument columns entry by entry, so a query costs one pass per node
+# instead of one walk per assignment.
+
+
+def _code(t: Term, var_pos: dict) -> tuple:
+    """Postfix code of t. A variable not yet in var_pos takes the next slot,
+    so slots follow first occurrence, left to right."""
+    # visiting each node before its children, last child first, gives the
+    # postfix order reversed
+    nodes = []
+    stack = [t]
+    while stack:
+        s = stack.pop()
+        nodes.append(s)
+        if type(s) is App:
+            stack.extend(s.args)
+    code = []
+    for s in reversed(nodes):
+        if type(s) is Var:
+            code.append((0, var_pos.setdefault(s.name, len(var_pos))))
+        else:
+            code.append((1, s.sym, len(s.args)))
+    return tuple(code)
+
+
+def _eq_code(lhs: Term, rhs: Term):
+    """The codes of both sides over shared slots, and the variables in slot
+    order: those of lhs, then those only in rhs."""
+    pos: dict = {}
+    cl, cr = _code(lhs, pos), _code(rhs, pos)
+    return cl, cr, list(pos)
+
+
+def _grid(theory: Theory, k: int, nvars: int):
+    """Every assignment of nvars variables over {0..k-1}, in product order,
+    and the column of each variable's values over them."""
+    assignments = list(product(range(k), repeat=nvars))
+    return assignments, [list(col) for col in zip(*assignments)]
+
+
+def _column(code, columns, tables, k: int, n: int) -> list:
+    """The values of code over an n-entry grid whose variable columns are
+    columns, under complete tables over {0..k-1}."""
+    stack = []
+    for op in code:
+        if op[0] == 0:
+            stack.append(columns[op[1]])
+            continue
+        tab, arity = tables[op[1]], op[2]
+        if arity == 0:
+            stack.append([tab[0]] * n)
+        elif arity == 1:
+            stack.append([tab[a] for a in stack.pop()])
+        elif arity == 2:
+            b = stack.pop()
+            stack.append([tab[x * k + y] for x, y in zip(stack.pop(), b)])
+        else:
+            args = stack[-arity:]
+            del stack[-arity:]
+            offs = args[0]
+            for col in args[1:]:
+                offs = [o * k + x for o, x in zip(offs, col)]
+            stack.append([tab[o] for o in offs])
+    return stack[0]
+
+
+def _first_difference(alg: FiniteAlgebra, cl, cr, grid) -> Optional[int]:
+    """Index of the first assignment in grid at which the codes cl and cr
+    take different values on alg, or None when they agree throughout."""
+    assignments, columns = grid
+    n = len(assignments)
+    left = _column(cl, columns, alg.tables, alg.size, n)
+    right = _column(cr, columns, alg.tables, alg.size, n)
+    if left == right:
+        return None
+    return list(map(ne, left, right)).index(True)
 
 
 # ---------------------------------------------------------------------------
@@ -184,21 +278,6 @@ def eval_term(algebra: FiniteAlgebra, t: Term, env: Mapping[str, int]) -> int:
 # cumulative node count at which it was found, so later consumers can charge
 # their own budgets as if they had run the search themselves. That keeps
 # results deterministic however far the stream has already run.
-
-
-def _postfix(t: Term, var_pos: Mapping[str, int]):
-    code = []
-
-    def walk(s):
-        if type(s) is Var:
-            code.append((0, var_pos[s.name]))
-        else:
-            for a in s.args:
-                walk(a)
-            code.append((1, s.sym, len(s.args)))
-
-    walk(t)
-    return tuple(code)
 
 
 def _eval_code(code, env, tables, k) -> int:
@@ -235,9 +314,7 @@ class _ModelSearch:
         self.tables = [[-1] * (k ** sig.arity(i)) for i in range(len(sig))]
         self.instances = []
         for eq in theory.equations:
-            vs = _eq_vars(eq.lhs, eq.rhs)
-            pos = {v: i for i, v in enumerate(vs)}
-            cl, cr = _postfix(eq.lhs, pos), _postfix(eq.rhs, pos)
+            cl, cr, vs = _eq_code(eq.lhs, eq.rhs)
             for env in product(range(k), repeat=len(vs)):
                 self.instances.append((cl, cr, env))
         self.depth = 0
@@ -334,13 +411,15 @@ def refute(theory: Theory, eq: Equation, budget: Budget = DEFAULT_BUDGET) -> Ver
     or Unknown when sizes or the step budget run out."""
     check_term(theory.signature, eq.lhs)
     check_term(theory.signature, eq.rhs)
-    vs = _eq_vars(eq.lhs, eq.rhs)
+    cl, cr, vs = _eq_code(eq.lhs, eq.rhs)
     spent = 0
     for k in range(1, budget.max_model_size + 1):
         s = theory.derived(_ModelSearch, k)
         idx = 0
         prev_cost = 0
-        assignments = list(product(range(k), repeat=len(vs)))
+        n = k ** len(vs)
+        # a one-element model satisfies every equation: charged, not evaluated
+        grid = theory.derived(_grid, k, len(vs)) if k > 1 else None
         while True:
             if idx < len(s.found):
                 alg, cost_after = s.found[idx]
@@ -356,13 +435,12 @@ def refute(theory: Theory, eq: Equation, budget: Budget = DEFAULT_BUDGET) -> Ver
                 return Unknown("model search step budget exhausted", detail=k)
             spent += delta
             prev_cost = cost_after
-            for vals in assignments:
-                spent += 1
-                if spent > budget.max_steps:
-                    return Unknown("model search step budget exhausted", detail=k)
-                env = dict(zip(vs, vals))
-                if eval_term(alg, eq.lhs, env) != eval_term(alg, eq.rhs, env):
-                    return Refuted(alg, env)
+            hit = None if grid is None else _first_difference(alg, cl, cr, grid)
+            if spent + (n if hit is None else hit + 1) > budget.max_steps:
+                return Unknown("model search step budget exhausted", detail=k)
+            if hit is not None:
+                return Refuted(alg, dict(zip(vs, grid[0][hit])))
+            spent += n
             idx += 1
         if spent > budget.max_steps:
             return Unknown("model search step budget exhausted", detail=k)
@@ -681,14 +759,14 @@ def tri_equal(theory: Theory, a: Term, b: Term, budget: Budget = DEFAULT_BUDGET)
         if nf.key(a) == nf.key(b):
             return ("proved", Proved(NormalFormCertificate(nf.name)))
         return ("refuted", None)
-    vs = _eq_vars(a, b)
+    ca, cb, vs = _eq_code(a, b)
     for alg in theory.derived(_fingerprint_models, min(_FINGERPRINT_SIZE, budget.max_model_size)):
         if alg.size ** len(vs) > _FINGERPRINT_ASSIGNMENT_CAP:
             continue
-        for vals in product(range(alg.size), repeat=len(vs)):
-            env = dict(zip(vs, vals))
-            if eval_term(alg, a, env) != eval_term(alg, b, env):
-                return ("refuted", (alg, env))
+        grid = theory.derived(_grid, alg.size, len(vs))
+        hit = _first_difference(alg, ca, cb, grid)
+        if hit is not None:
+            return ("refuted", (alg, dict(zip(vs, grid[0][hit]))))
     p = prove(theory, Equation(a, b), budget)
     if p.is_proved:
         return ("proved", p)

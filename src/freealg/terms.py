@@ -216,10 +216,6 @@ def var_names(t: Term) -> list[str]:
     return seen
 
 
-def var_set(t: Term) -> frozenset:
-    return frozenset(var_names(t))
-
-
 @dataclass(frozen=True)
 class VarOccurrence:
     """One distinguished variable occurrence inside a term."""

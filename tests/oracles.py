@@ -10,12 +10,27 @@ calling into the package's engine, so that the two routes stay independent:
   * naive generation  - unordered set-based recursion
   * concrete groups   - Z2 by arithmetic, S3 by composing permutations
   * rewrite neighbours - substitute every match, then check its size
+  * countermodel replay - one dict and one recursive walk per assignment
 """
 
 from itertools import permutations, product
 
-from freealg.engine import FiniteAlgebra, RewriteStep
-from freealg.terms import App, Term, Var, replace_at, substitute
+from freealg.engine import (
+    _FINGERPRINT_ASSIGNMENT_CAP,
+    _FINGERPRINT_SIZE,
+    FiniteAlgebra,
+    NormalFormCertificate,
+    Proved,
+    Refuted,
+    RewriteStep,
+    RewriteTrace,
+    Unknown,
+    _fingerprint_models,
+    _ModelSearch,
+    prove,
+)
+from freealg.normal_forms import catalog_normalizer
+from freealg.terms import App, Equation, Term, Var, replace_at, substitute
 
 
 # ---------------------------------------------------------------------------
@@ -233,3 +248,112 @@ def reference_neighbors(theory, t: Term, size_cap: int, pool):
                 if new != t:
                     out.append((new, RewriteStep(t, new, eq_index, forward, path, tuple(sorted(b.items())))))
     return out
+
+
+# ---------------------------------------------------------------------------
+# Countermodel replay the direct way: every assignment becomes a dict and
+# both sides are evaluated by plain recursion, one assignment at a time.
+
+
+def postfix(t: Term, var_pos):
+    """Postfix code of t over fixed variable slots, by plain recursion:
+    (0, slot) for a variable, (1, sym, arity) for an application."""
+    code = []
+
+    def walk(s):
+        if type(s) is Var:
+            code.append((0, var_pos[s.name]))
+        else:
+            for a in s.args:
+                walk(a)
+            code.append((1, s.sym, len(s.args)))
+
+    walk(t)
+    return tuple(code)
+
+
+def equation_vars(lhs: Term, rhs: Term):
+    """Variables of lhs, then those only in rhs, in order of first occurrence."""
+    left = _first_occurrences(lhs)
+    return left + [v for v in _first_occurrences(rhs) if v not in left]
+
+
+def evaluate(alg: FiniteAlgebra, t: Term, env) -> int:
+    if type(t) is Var:
+        return env[t.name]
+    return alg.op(t.sym, [evaluate(alg, a, env) for a in t.args])
+
+
+def _falsifying_env(alg: FiniteAlgebra, lhs: Term, rhs: Term, vs):
+    """The first assignment of vs falsifying lhs = rhs on alg, or None."""
+    for vals in product(range(alg.size), repeat=len(vs)):
+        env = dict(zip(vs, vals))
+        if evaluate(alg, lhs, env) != evaluate(alg, rhs, env):
+            return env
+    return None
+
+
+def reference_satisfies(alg: FiniteAlgebra, theory) -> bool:
+    return all(
+        _falsifying_env(alg, eq.lhs, eq.rhs, equation_vars(eq.lhs, eq.rhs)) is None
+        for eq in theory.equations
+    )
+
+
+def reference_refute(theory, eq: Equation, budget):
+    """refute with the same model streams and the same charges, replaying
+    each model one assignment at a time."""
+    vs = equation_vars(eq.lhs, eq.rhs)
+    spent = 0
+    for k in range(1, budget.max_model_size + 1):
+        s = theory.derived(_ModelSearch, k)
+        idx = 0
+        prev_cost = 0
+        while True:
+            if idx < len(s.found):
+                alg, cost_after = s.found[idx]
+            elif s.finished:
+                spent += s.final_cost - prev_cost
+                break
+            else:
+                if s.advance(s.cost + (budget.max_steps - spent)) == "paused":
+                    return Unknown("model search step budget exhausted", detail=k)
+                continue
+            delta = cost_after - prev_cost
+            if spent + delta > budget.max_steps:
+                return Unknown("model search step budget exhausted", detail=k)
+            spent += delta
+            prev_cost = cost_after
+            for vals in product(range(k), repeat=len(vs)):
+                spent += 1
+                if spent > budget.max_steps:
+                    return Unknown("model search step budget exhausted", detail=k)
+                env = dict(zip(vs, vals))
+                if evaluate(alg, eq.lhs, env) != evaluate(alg, eq.rhs, env):
+                    return Refuted(alg, env)
+            idx += 1
+        if spent > budget.max_steps:
+            return Unknown("model search step budget exhausted", detail=k)
+    return Unknown(f"no countermodel up to size {budget.max_model_size}")
+
+
+def reference_tri_equal(theory, a: Term, b: Term, budget):
+    """tri_equal with its fingerprint loop replayed one assignment at a time."""
+    if a == b:
+        return ("proved", Proved(RewriteTrace(())))
+    nf = catalog_normalizer(theory)
+    if nf is not None:
+        if nf.key(a) == nf.key(b):
+            return ("proved", Proved(NormalFormCertificate(nf.name)))
+        return ("refuted", None)
+    vs = equation_vars(a, b)
+    for alg in theory.derived(_fingerprint_models, min(_FINGERPRINT_SIZE, budget.max_model_size)):
+        if alg.size ** len(vs) > _FINGERPRINT_ASSIGNMENT_CAP:
+            continue
+        env = _falsifying_env(alg, a, b, vs)
+        if env is not None:
+            return ("refuted", (alg, env))
+    p = prove(theory, Equation(a, b), budget)
+    if p.is_proved:
+        return ("proved", p)
+    return ("unknown", p.reason)

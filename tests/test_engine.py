@@ -1,13 +1,16 @@
 import random
+from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from freealg.dsl import parse_equation, parse_term, parse_theory
 from freealg.engine import (
     Budget,
+    FiniteAlgebra,
     RewriteTrace,
+    _ModelSearch,
     _neighbors,
     _query_pool,
     _rules,
@@ -19,11 +22,22 @@ from freealg.engine import (
     prove,
     refute,
     replay,
+    tri_equal,
 )
-from freealg.terms import App, Equation, Var
+from freealg.terms import App, Equation, TermError, Var
 
 from conftest import load
-from oracles import group_word, reference_neighbors, s3_group, z2_group
+from oracles import (
+    equation_vars,
+    group_word,
+    postfix,
+    reference_neighbors,
+    reference_refute,
+    reference_satisfies,
+    reference_tri_equal,
+    s3_group,
+    z2_group,
+)
 from test_terms import terms_over
 
 
@@ -215,6 +229,30 @@ def test_eval_term_examples(groups):
     assert eval_term(z2, m, {"x": 1, "y": 0, "z": 1}) == 0
     with pytest.raises(Exception):
         eval_term(z2, Var("q"), {"x": 0})
+
+
+def test_eval_term_names_the_leftmost_unmapped_variable(groups):
+    z2 = z2_group()
+    with pytest.raises(TermError, match="'p'"):
+        eval_term(z2, term_of(groups, "mul(inv(x), mul(p, q))"), {"x": 0})
+
+
+def test_eval_term_is_iterative(lattice):
+    # far deeper than the interpreter's recursion limit: meet(...meet(x, x)..., x)
+    meet = lattice.signature.index("meet")
+    x = Var("x")
+    t = x
+    for _ in range(5000):
+        t = App(meet, (t, x))
+    for model in find_models(lattice, 2):
+        for v in range(model.size):
+            assert eval_term(model, t, {"x": v}) == v
+
+
+def test_refute_deep_parsed_equation_gives_a_verdict(lattice):
+    eq = eq_of(lattice, "meet(" * 900 + "x" + ", x)" * 900 + " = x")
+    v = refute(lattice, eq)
+    assert v.is_unknown and v.reason == "no countermodel up to size 3"
 
 
 # ---------------------------------------------------------------------------
@@ -481,3 +519,63 @@ def test_every_proved_replays(named_theories, data):
     v = prove(th, eq, Budget(max_term_size=8, max_steps=150, max_model_size=1))
     if v.is_proved:
         assert replay(th, eq, v)
+
+
+def test_model_search_instances_match_the_postfix_reference(named_theories):
+    for th in named_theories.values():
+        for k in (1, 2, 3):
+            expected = []
+            for eq in th.equations:
+                vs = equation_vars(eq.lhs, eq.rhs)
+                pos = {v: i for i, v in enumerate(vs)}
+                cl, cr = postfix(eq.lhs, pos), postfix(eq.rhs, pos)
+                expected += [(cl, cr, env) for env in product(range(k), repeat=len(vs))]
+            assert _ModelSearch(th, k).instances == expected
+
+
+def _least_refuting_steps(th, eq, size):
+    """The least max_steps up to 400 at which the reference refutes eq with
+    models of at most the given size, or None; refute is monotone in it."""
+    def refuted(steps):
+        return reference_refute(th, eq, Budget(7, steps, size)).is_refuted
+
+    if not refuted(400):
+        return None
+    lo, hi = 1, 400
+    while lo < hi:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if refuted(mid) else (mid + 1, hi)
+    return lo
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_column_replay_matches_the_dict_per_assignment_reference(named_theories, data):
+    th = named_theories[data.draw(st.sampled_from(sorted(named_theories)))]
+    eq = Equation(data.draw(terms_upto(th.signature, 7)), data.draw(terms_upto(th.signature, 7)))
+    size = data.draw(st.integers(1, 3))
+    drawn = Budget(max_term_size=7, max_steps=data.draw(st.integers(1, 400)), max_model_size=size)
+    # the step budgets on either side of the first refutation, where an
+    # off-by-one in the charge for the assignments would show
+    least = _least_refuting_steps(th, eq, size)
+    edges = [] if least is None else [s for s in (least - 1, least) if s >= 1]
+    for budget in [drawn] + [Budget(7, s, size) for s in edges]:
+        got, want = refute(th, eq, budget), reference_refute(th, eq, budget)
+        event(type(want).__name__)
+        assert type(got) is type(want)
+        if want.is_refuted:
+            assert got.model == want.model and got.assignment == want.assignment
+            assert got.model.satisfies(th)
+        else:
+            assert got.reason == want.reason and got.detail == want.detail
+    assert tri_equal(th, eq.lhs, eq.rhs, drawn) == reference_tri_equal(th, eq.lhs, eq.rhs, drawn)
+
+    # satisfies on arbitrary tables, which are mostly not models
+    sig = th.signature
+    k = data.draw(st.integers(1, 3))
+    tables = tuple(
+        tuple(data.draw(st.lists(st.integers(0, k - 1), min_size=k**a, max_size=k**a)))
+        for _, a in sig.symbols
+    )
+    alg = FiniteAlgebra(k, tuple(a for _, a in sig.symbols), tables)
+    assert alg.satisfies(th) == reference_satisfies(alg, th)
