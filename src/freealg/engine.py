@@ -10,9 +10,13 @@ Budget.max_steps is a unified work counter. In proof search a step is one
 node expansion; in countermodel search a step is one constraint evaluation
 (a cell-value attempt or one ground equation-instance check). This keeps
 "cheap disproof first" actually cheap on theories whose finite model space
-is astronomically large. refute charges each model its stream cost, plus
-one step per assignment up to and including the first falsifying one, or
-all of them when none falsifies, however the evaluation is batched.
+is astronomically large. The model search re-checks only the instances
+waiting on the cell just assigned, but charges each cell attempt as a full
+rescan of the instances would: one step, plus the instances up to and
+including the first violated one, or all of them when none is violated.
+refute charges each model its stream cost, plus one step per assignment up
+to and including the first falsifying one, or all of them when none
+falsifies, however the evaluation is batched.
 
 Results are pure functions of (theory, query, budget): work kept in the
 theory's memo (see Theory.derived) is charged to each consumer as if it had
@@ -278,27 +282,39 @@ def _first_difference(alg: FiniteAlgebra, cl, cr, grid) -> Optional[int]:
 # cumulative node count at which it was found, so later consumers can charge
 # their own budgets as if they had run the search themselves. That keeps
 # results deterministic however far the stream has already run.
+#
+# Each ground equation instance waits on the first undefined cell its
+# evaluation reads (the watched-cell scheme of SEM and Mace4). Assigning any
+# other cell cannot change what the evaluation reads up to that cell, so
+# only the watchers of the cell just assigned are re-checked. A check is
+# still charged as a full rescan of the instances would charge it: one step
+# for the cell attempt, plus the instances up to and including the first
+# violated one, or all of them when none is violated. That first violated
+# instance is a watcher of the cell or one violated whatever the tables
+# hold, since every other instance held or waited before the assignment.
 
 
-def _eval_code(code, env, tables, k) -> int:
-    """Evaluate postfix code over possibly partial tables; -1 = undefined."""
+def _blocked_eval(code, env, values, base, k) -> int:
+    """Evaluate postfix code over partial tables held flat in values, where
+    symbol s's table starts at base[s]; -1 - c when the first undefined cell
+    the evaluation reads is c."""
     stack = []
     for op in code:
         if op[0] == 0:
             stack.append(env[op[1]])
-        else:
-            arity = op[2]
-            if arity:
-                off = 0
-                for a in stack[-arity:]:
-                    off = off * k + a
-                del stack[-arity:]
-            else:
-                off = 0
-            v = tables[op[1]][off]
-            if v < 0:
-                return -1
-            stack.append(v)
+            continue
+        arity = op[2]
+        cell = base[op[1]]
+        if arity:
+            off = 0
+            for a in stack[-arity:]:
+                off = off * k + a
+            del stack[-arity:]
+            cell += off
+        v = values[cell]
+        if v < 0:
+            return -1 - cell
+        stack.append(v)
     return stack[0]
 
 
@@ -309,14 +325,30 @@ class _ModelSearch:
         self.theory = theory
         self.k = k
         sig = theory.signature
+        sizes = [k ** sig.arity(i) for i in range(len(sig))]
+        self.base = [sum(sizes[:i]) for i in range(len(sig))]
         order = sorted(range(len(sig)), key=lambda i: (sig.arity(i), i))
-        self.cells = [(s, off) for s in order for off in range(k ** sig.arity(s))]
-        self.tables = [[-1] * (k ** sig.arity(i)) for i in range(len(sig))]
+        self.cells = [self.base[s] + off for s in order for off in range(sizes[s])]
+        self.values = [-1] * sum(sizes)
         self.instances = []
         for eq in theory.equations:
             cl, cr, vs = _eq_code(eq.lhs, eq.rhs)
             for env in product(range(k), repeat=len(vs)):
                 self.instances.append((cl, cr, env))
+        # watch[c]: the instances whose evaluation first blocks on cell c;
+        # an instance that blocks on no cell is satisfied for good, or
+        # violated for good (x = y at k >= 2), whatever the tables hold
+        self.watch: list[list[int]] = [[] for _ in self.values]
+        self.violated = len(self.instances)  # least always-violated instance
+        for i in range(len(self.instances)):
+            c = self._blocker(i)
+            if c >= 0:
+                self.watch[c].append(i)
+            elif c == -2 and self.violated == len(self.instances):
+                self.violated = i
+        # one entry per assigned cell: (cell, its watch list, the moves the
+        # assignment made), undone in reverse on unassignment
+        self.trail: list[tuple[int, list[int], list[tuple[int, int]]]] = []
         self.depth = 0
         self.next_value = [0] * (len(self.cells) + 1)
         self.cost = 0
@@ -326,27 +358,70 @@ class _ModelSearch:
         if not self.cells:
             # No table cells to fill: the bare set either is or is not a
             # model, depending on the (symbol-free) equations.
-            if self._consistent():
+            if self.violated < len(self.instances):
+                self.cost += self.violated + 1
+            else:
+                self.cost += len(self.instances)
                 self._record()
             self.finished = True
             self.final_cost = self.cost
 
-    def _consistent(self) -> bool:
-        for cl, cr, env in self.instances:
-            self.cost += 1
-            a = _eval_code(cl, env, self.tables, self.k)
-            if a < 0:
-                continue
-            b = _eval_code(cr, env, self.tables, self.k)
-            if 0 <= b != a:
-                return False
+    def _blocker(self, i: int) -> int:
+        """The cell instance i waits on, or -1 when it holds and -2 when it
+        is violated under the current tables."""
+        cl, cr, env = self.instances[i]
+        a = _blocked_eval(cl, env, self.values, self.base, self.k)
+        if a < 0:
+            return -1 - a
+        b = _blocked_eval(cr, env, self.values, self.base, self.k)
+        if b < 0:
+            return -1 - b
+        return -1 if a == b else -2
+
+    def _assign(self, cell: int, v: int) -> bool:
+        """Set cell to v and charge the check. On success the watchers of
+        cell move on and the trail records how; on failure cell is reset."""
+        self.values[cell] = v
+        stop = self.violated
+        moves = []
+        for i in sorted(self.watch[cell]):
+            if i > stop:
+                break
+            c = self._blocker(i)
+            if c == -2:
+                stop = i
+                break
+            if c >= 0:
+                moves.append((i, c))
+        if stop < len(self.instances):
+            self.cost += stop + 1
+            self.values[cell] = -1
+            return False
+        self.cost += len(self.instances)
+        for i, c in moves:
+            self.watch[c].append(i)
+        self.trail.append((cell, self.watch[cell], moves))
+        self.watch[cell] = []
         return True
 
+    def _unassign(self):
+        """Undo the latest assignment: the moved watchers leave the ends of
+        their lists in reverse order, and the cell gets its own list back."""
+        cell, watchers, moves = self.trail.pop()
+        for _, c in reversed(moves):
+            self.watch[c].pop()
+        self.watch[cell] = watchers
+        self.values[cell] = -1
+
     def _record(self):
+        sig = self.theory.signature
         alg = FiniteAlgebra(
             self.k,
-            tuple(a for _, a in self.theory.signature.symbols),
-            tuple(tuple(tab) for tab in self.tables),
+            tuple(a for _, a in sig.symbols),
+            tuple(
+                tuple(self.values[b : b + self.k ** sig.arity(s)])
+                for s, b in enumerate(self.base)
+            ),
         )
         self.found.append((alg, self.cost))
 
@@ -363,8 +438,7 @@ class _ModelSearch:
                 self._record()
                 # step back so the search resumes past this model
                 self.depth -= 1
-                sym, off = self.cells[self.depth]
-                self.tables[sym][off] = -1
+                self._unassign()
                 return "found"
             v = self.next_value[self.depth]
             if v >= self.k:
@@ -374,18 +448,13 @@ class _ModelSearch:
                     self.finished = True
                     self.final_cost = self.cost
                     return "finished"
-                sym, off = self.cells[self.depth]
-                self.tables[sym][off] = -1
+                self._unassign()
                 continue
             self.next_value[self.depth] += 1
             self.cost += 1
-            sym, off = self.cells[self.depth]
-            self.tables[sym][off] = v
-            if self._consistent():
+            if self._assign(self.cells[self.depth], v):
                 self.depth += 1
                 self.next_value[self.depth] = 0
-            else:
-                self.tables[sym][off] = -1
 
 
 def find_models(theory: Theory, max_size: int) -> list[FiniteAlgebra]:

@@ -11,9 +11,11 @@ calling into the package's engine, so that the two routes stay independent:
   * concrete groups   - Z2 by arithmetic, S3 by composing permutations
   * rewrite neighbours - substitute every match, then check its size
   * countermodel replay - one dict and one recursive walk per assignment
+  * model search       - every ground instance re-scanned after every cell
 """
 
 from itertools import permutations, product
+from typing import Optional
 
 from freealg.engine import (
     _FINGERPRINT_ASSIGNMENT_CAP,
@@ -25,12 +27,12 @@ from freealg.engine import (
     RewriteStep,
     RewriteTrace,
     Unknown,
+    _eq_code,
     _fingerprint_models,
-    _ModelSearch,
     prove,
 )
 from freealg.normal_forms import catalog_normalizer
-from freealg.terms import App, Equation, Term, Var, replace_at, substitute
+from freealg.terms import App, Equation, Term, Theory, Var, replace_at, substitute
 
 
 # ---------------------------------------------------------------------------
@@ -251,6 +253,121 @@ def reference_neighbors(theory, t: Term, size_cap: int, pool):
 
 
 # ---------------------------------------------------------------------------
+# Model search the direct way: after every cell assignment, every ground
+# equation instance is evaluated again from scratch. The engine re-checks
+# only the instances waiting on the assigned cell, and must produce the same
+# stream: the same models at the same costs, and the same pause points.
+
+
+def _eval_code(code, env, tables, k) -> int:
+    """Evaluate postfix code over possibly partial tables; -1 = undefined."""
+    stack = []
+    for op in code:
+        if op[0] == 0:
+            stack.append(env[op[1]])
+        else:
+            arity = op[2]
+            if arity:
+                off = 0
+                for a in stack[-arity:]:
+                    off = off * k + a
+                del stack[-arity:]
+            else:
+                off = 0
+            v = tables[op[1]][off]
+            if v < 0:
+                return -1
+            stack.append(v)
+    return stack[0]
+
+
+class ReferenceModelSearch:
+    """Resumable DFS over all size-k models of a theory."""
+
+    def __init__(self, theory: Theory, k: int):
+        self.theory = theory
+        self.k = k
+        sig = theory.signature
+        order = sorted(range(len(sig)), key=lambda i: (sig.arity(i), i))
+        self.cells = [(s, off) for s in order for off in range(k ** sig.arity(s))]
+        self.tables = [[-1] * (k ** sig.arity(i)) for i in range(len(sig))]
+        self.instances = []
+        for eq in theory.equations:
+            cl, cr, vs = _eq_code(eq.lhs, eq.rhs)
+            for env in product(range(k), repeat=len(vs)):
+                self.instances.append((cl, cr, env))
+        self.depth = 0
+        self.next_value = [0] * (len(self.cells) + 1)
+        self.cost = 0
+        self.found: list[tuple[FiniteAlgebra, int]] = []
+        self.finished = False
+        self.final_cost: Optional[int] = None
+        if not self.cells:
+            # No table cells to fill: the bare set either is or is not a
+            # model, depending on the (symbol-free) equations.
+            if self._consistent():
+                self._record()
+            self.finished = True
+            self.final_cost = self.cost
+
+    def _consistent(self) -> bool:
+        for cl, cr, env in self.instances:
+            self.cost += 1
+            a = _eval_code(cl, env, self.tables, self.k)
+            if a < 0:
+                continue
+            b = _eval_code(cr, env, self.tables, self.k)
+            if 0 <= b != a:
+                return False
+        return True
+
+    def _record(self):
+        alg = FiniteAlgebra(
+            self.k,
+            tuple(a for _, a in self.theory.signature.symbols),
+            tuple(tuple(tab) for tab in self.tables),
+        )
+        self.found.append((alg, self.cost))
+
+    def advance(self, cost_limit: int) -> str:
+        """Run until a new model is found, the space is exhausted, or the
+        global cost counter reaches cost_limit. Returns "found", "finished",
+        or "paused"."""
+        if self.finished:
+            return "finished"
+        while True:
+            if self.cost >= cost_limit:
+                return "paused"
+            if self.depth == len(self.cells):
+                self._record()
+                # step back so the search resumes past this model
+                self.depth -= 1
+                sym, off = self.cells[self.depth]
+                self.tables[sym][off] = -1
+                return "found"
+            v = self.next_value[self.depth]
+            if v >= self.k:
+                self.next_value[self.depth] = 0
+                self.depth -= 1
+                if self.depth < 0:
+                    self.finished = True
+                    self.final_cost = self.cost
+                    return "finished"
+                sym, off = self.cells[self.depth]
+                self.tables[sym][off] = -1
+                continue
+            self.next_value[self.depth] += 1
+            self.cost += 1
+            sym, off = self.cells[self.depth]
+            self.tables[sym][off] = v
+            if self._consistent():
+                self.depth += 1
+                self.next_value[self.depth] = 0
+            else:
+                self.tables[sym][off] = -1
+
+
+# ---------------------------------------------------------------------------
 # Countermodel replay the direct way: every assignment becomes a dict and
 # both sides are evaluated by plain recursion, one assignment at a time.
 
@@ -301,12 +418,12 @@ def reference_satisfies(alg: FiniteAlgebra, theory) -> bool:
 
 
 def reference_refute(theory, eq: Equation, budget):
-    """refute with the same model streams and the same charges, replaying
-    each model one assignment at a time."""
+    """refute with the same charges over the full-rescan model streams,
+    replaying each model one assignment at a time."""
     vs = equation_vars(eq.lhs, eq.rhs)
     spent = 0
     for k in range(1, budget.max_model_size + 1):
-        s = theory.derived(_ModelSearch, k)
+        s = theory.derived(ReferenceModelSearch, k)
         idx = 0
         prev_cost = 0
         while True:

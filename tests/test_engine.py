@@ -24,10 +24,11 @@ from freealg.engine import (
     replay,
     tri_equal,
 )
-from freealg.terms import App, Equation, TermError, Var
+from freealg.terms import App, Equation, Signature, TermError, Theory, Var
 
 from conftest import load
 from oracles import (
+    ReferenceModelSearch,
     equation_vars,
     group_word,
     postfix,
@@ -531,6 +532,62 @@ def test_model_search_instances_match_the_postfix_reference(named_theories):
                 cl, cr = postfix(eq.lhs, pos), postfix(eq.rhs, pos)
                 expected += [(cl, cr, env) for env in product(range(k), repeat=len(vs))]
             assert _ModelSearch(th, k).instances == expected
+
+
+def test_model_search_costs_at_size_3():
+    # the costs the full-rescan search charged, kept by the watched cells
+    for name, final_cost, models in (
+        ("abelian.th", 63030, 3),
+        ("groups.th", 58630, 3),
+        ("lattice.th", 111606, 6),
+        ("semilattice.th", 4401, 9),
+    ):
+        s = _ModelSearch(load(name), 3)
+        while not s.finished:
+            s.advance(float("inf"))
+        assert (s.final_cost, len(s.found)) == (final_cost, models), name
+
+
+STREAM_THEORIES = {
+    name: load(name)
+    for name in ("abelian.th", "groups.th", "lattice.th", "semilattice.th",
+                 "empty.th", "three_perm.th", "malcev.th")
+}
+
+
+@st.composite
+def small_theories(draw):
+    """0-3 symbols of arity 0-3 and 0-3 equations with sides of size at
+    most 5, over the variables x, y and the signature's constants; a side
+    may be a bare variable or a bare constant."""
+    arities = draw(st.lists(st.integers(0, 3), max_size=3))
+    sig = Signature(tuple((name, a) for name, a in zip("fgh", arities)))
+    eqs = tuple(
+        Equation(draw(terms_upto(sig, 5)), draw(terms_upto(sig, 5)))
+        for _ in range(draw(st.integers(0, 3)))
+    )
+    return Theory(sig, eqs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_model_search_stream_matches_the_full_rescan_reference(data):
+    if data.draw(st.booleans()):
+        th = STREAM_THEORIES[data.draw(st.sampled_from(sorted(STREAM_THEORIES)))]
+    else:
+        th = data.draw(small_theories())
+    k = data.draw(st.integers(1, 3))
+    rng = data.draw(st.randoms(use_true_random=False))
+    got, want = _ModelSearch(th, k), ReferenceModelSearch(th, k)
+    assert (got.cost, got.finished) == (want.cost, want.finished)
+    # random pause points, up to a few thousand steps of search
+    while not want.finished and want.cost < 3000:
+        limit = want.cost + rng.choice((1, 2, 3, 10, 50, 400))
+        assert (got.advance(limit), got.cost, len(got.found)) == (
+            want.advance(limit), want.cost, len(want.found))
+    event("finished" if want.finished else "cut")
+    assert got.found == want.found
+    assert got.final_cost == want.final_cost
 
 
 def _least_refuting_steps(th, eq, size):
