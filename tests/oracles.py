@@ -256,7 +256,9 @@ def reference_neighbors(theory, t: Term, size_cap: int, pool):
 # Model search the direct way: after every cell assignment, every ground
 # equation instance is evaluated again from scratch. The engine re-checks
 # only the instances waiting on the assigned cell, and must produce the same
-# stream: the same models at the same costs, and the same pause points.
+# stream: the same models at the same costs, and the same pause points. The
+# instances come from the engine's _eq_code, which
+# test_model_search_instances_match_the_postfix_reference checks apart.
 
 
 def _eval_code(code, env, tables, k) -> int:
