@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 import time
 from dataclasses import dataclass, field
@@ -64,10 +65,10 @@ def _budget(args) -> Budget:
 
 def _print_report(args, report: dict, human_lines):
     if args.json:
-        print(json.dumps(report, indent=2, default=str))
+        text = json.dumps(report, indent=2, default=str)
     else:
-        for line in human_lines:
-            print(line)
+        text = "\n".join(human_lines)
+    print(text, flush=True)
 
 
 def _term_str(theory, t):
@@ -416,8 +417,16 @@ def main(argv=None) -> int:
         }
         report.update(result.extra)
         report["timing_ms"] = elapsed_ms
-        _print_report(args, report, result.human)
-        return result.exit_code if result.exit_code is not None else _exit_code(result.verdict)
+        code = result.exit_code if result.exit_code is not None else _exit_code(result.verdict)
+        try:
+            _print_report(args, report, result.human)
+        except BrokenPipeError:
+            # the reader left early; the verdict stands. Point stdout at
+            # devnull so the flush at shutdown cannot fail a second time.
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        return code
     except (ParseError, TermError, DiagramError, OSError, ValueError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -45,16 +45,16 @@ from .terms import (
 )
 
 
-def linear_terms(theory: Theory, max_size: int, prefix: str = "z") -> Iterator[Term]:
+def linear_terms(theory: Theory, max_size: int) -> Iterator[Term]:
     """Every term shape up to max_size with pairwise-distinct variables,
-    named prefix1, prefix2, ... in preorder; canonical order."""
+    named z1, z2, ... in preorder; canonical order."""
     for shape in enumerate_terms(theory, ("·",), max_size):
         counter = [0]
 
         def relabel(t: Term) -> Term:
             if type(t) is Var:
                 counter[0] += 1
-                return Var(f"{prefix}{counter[0]}")
+                return Var(f"z{counter[0]}")
             return type(t)(t.sym, tuple(relabel(a) for a in t.args))
 
         yield relabel(shape)

@@ -67,9 +67,8 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
 
-    def peek(self, ahead=0):
-        i = self.pos + ahead
-        return self.tokens[i] if i < len(self.tokens) else None
+    def peek(self):
+        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
 
     def _where(self):
         tok = self.peek()

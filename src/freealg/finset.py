@@ -273,7 +273,10 @@ def check_weak_preservation(
     proj2 = {apex_map[p]: a2_map[diagram.p2(p)] for p in diagram.apex}
 
     carrier1 = free_algebra(theory, a1_names, carrier_bound, budget)
-    carrier2 = free_algebra(theory, a2_names, carrier_bound, budget)
+    if a2_names == a1_names:
+        carrier2 = carrier1
+    else:
+        carrier2 = free_algebra(theory, a2_names, carrier_bound, budget)
 
     report = PreservationReport(
         verdict=Proved("pending"),

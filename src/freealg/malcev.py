@@ -9,6 +9,11 @@ p(x,x,y) = q(x,y,y)) admits a quaternary s with p(x,y,z) = s(x,y,z,z) and
 q(x,y,z) = s(x,x,y,z); a Mal'cev term yields such an s constructively, and
 an s for the first two chain links shortens the chain by one.
 
+The witness condition is weak preservation of one pullback of two epis,
+kernel_pair_square(), so kernel_pair_report scans its pairs with
+finset.check_weak_preservation, the check behind `freealg preserve`; find_s
+searches an s for a single given pair.
+
 Ternary terms here use the formal variables (x, y, z); quaternary terms use
 (x, y, z, u).
 """
@@ -27,6 +32,7 @@ from .engine import (
     decide,
     tri_equal,
 )
+from .finset import FinSetMap, PairCheck, PullbackDiagram, check_weak_preservation
 from .terms import Equation, Term, Theory, Var, apply_args, enumerate_terms, substitute
 
 TERNARY = ("x", "y", "z")
@@ -155,17 +161,11 @@ def find_s(
     pre = decide(theory, compatibility_equation(p, q), budget)
     if not pre.is_proved:
         raise ValueError(f"pair is not compatible: p(x,x,y) = q(x,y,y) came back {pre}")
-    s = _first_s(theory, p, q, size_bound, budget)
-    return KernelWitness(p, q, s) if s is not None else None
-
-
-def _first_s(theory, p, q, size_bound, budget) -> Optional[Term]:
-    """First canonical s proving p = s(x,y,z,z) and q = s(x,x,y,z), or None."""
     for s in enumerate_terms(theory, QUATERNARY, size_bound):
         if _proved(theory, p, _q(s, _X, _Y, _Z, _Z), budget) and _proved(
             theory, q, _q(s, _X, _X, _Y, _Z), budget
         ):
-            return s
+            return KernelWitness(p, q, s)
     return None
 
 
@@ -230,7 +230,6 @@ def shorten_chain(
     chain: MalcevChain,
     budget: Budget = DEFAULT_BUDGET,
     s_bound: int = 7,
-    malcev_term: Optional[Term] = None,
 ) -> ShortenResult:
     """Collapse the first two links of a chain: obtain s for (p1, p2), set
     m(x,y,z) = s(x,y,y,z), and return the chain with p1, p2 replaced by m.
@@ -240,29 +239,26 @@ def shorten_chain(
     if chain.n < 3:
         raise ValueError("chain must have at least two terms (n >= 3)")
     p1, p2 = chain.terms[0], chain.terms[1]
-    if malcev_term is not None:
-        constructed = construct_s_via_malcev(theory, malcev_term, p1, p2, budget)
-        if not constructed.verification.is_proved:
-            return ShortenResult(None, None, constructed.verification, (p1, p2))
-        s = constructed.witness.s
-    else:
-        found = find_s(theory, p1, p2, s_bound, budget)
-        if found is None:
-            return ShortenResult(
-                None, None, Unknown(f"no s up to size {s_bound}"), (p1, p2)
-            )
-        s = found.s
+    found = find_s(theory, p1, p2, s_bound, budget)
+    if found is None:
+        return ShortenResult(None, None, Unknown(f"no s up to size {s_bound}"), (p1, p2))
+    s = found.s
     m = _q(s, _X, _Y, _Y, _Z)
     shortened = MalcevChain((m,) + chain.terms[2:])
     verdict = verify_chain(theory, shortened, budget)
     return ShortenResult(shortened, s, verdict)
 
 
-@dataclass
-class PairScanEntry:
-    p: Term
-    q: Term
-    s: Optional[Term]
+def kernel_pair_square() -> PullbackDiagram:
+    """The pullback of the epis (x,y,z -> x,x,y) and (x,y,z -> x,y,y) onto
+    {x, y}. Its apex (x,x), (y,x), (z,y), (z,z) is labelled x, y, z, u, so
+    the projections are s -> s(x,y,z,z) and s -> s(x,x,y,z), and weak
+    preservation of this square is the kernel-pair witness condition."""
+    f1 = FinSetMap(TERNARY, ("x", "y"), dict(zip(TERNARY, "xxy")))
+    f2 = FinSetMap(TERNARY, ("x", "y"), dict(zip(TERNARY, "xyy")))
+    p1 = FinSetMap(QUATERNARY, TERNARY, dict(zip(QUATERNARY, "xyzz")))
+    p2 = FinSetMap(QUATERNARY, TERNARY, dict(zip(QUATERNARY, "xxyz")))
+    return PullbackDiagram(f1, f2, QUATERNARY, p1, p2)
 
 
 @dataclass
@@ -277,8 +273,10 @@ class KernelPairReport:
                         that combination rules preservation out);
       open            - the necessary-condition scan is recorded, nothing
                         absolute is claimed.
-    Pairs without an s up to s_bound stay listed as open; that never
-    upgrades to Refuted, the condition is only necessary."""
+    The scan checks weak preservation of kernel_pair_square(): each pair
+    (u1, u2) = (p, q) carries its s as the witness. Pairs without an s up to
+    s_bound stay listed as open; that never upgrades to Refuted, the
+    condition is only necessary."""
 
     status: str
     verdict: Verdict
@@ -286,7 +284,7 @@ class KernelPairReport:
     s_bound: int
     malcev_term: Optional[Term] = None
     hm_chain: Optional[MalcevChain] = None
-    pairs: list[PairScanEntry] = field(default_factory=list)
+    pairs: list[PairCheck] = field(default_factory=list)
     open_pairs: list[tuple[Term, Term]] = field(default_factory=list)
     unknown_compat: list[tuple[Term, Term]] = field(default_factory=list)
 
@@ -299,34 +297,37 @@ def kernel_pair_report(
 ) -> KernelPairReport:
     if pair_bound < 1 or s_bound < 1:
         raise ValueError("bounds must be >= 1")
+    if s_bound < pair_bound:
+        raise ValueError("s_bound must be >= pair_bound")
 
     if not theory.equations:
-        report = KernelPairReport(
-            status="proved_trivial",
-            verdict=Proved("no equations: the term functor weakly preserves pullbacks"),
-            pair_bound=pair_bound,
-            s_bound=s_bound,
-        )
-        _scan_pairs(theory, pair_bound, s_bound, budget, report)
-        return report
+        status = "proved_trivial"
+        verdict = Proved("no equations: the term functor weakly preserves pullbacks")
+    else:
+        m = find_malcev_term(theory, s_bound, budget)
+        if m is not None:
+            return KernelPairReport(
+                status="proved_malcev",
+                verdict=Proved(f"Mal'cev term found: kernel pairs weakly preserved"),
+                pair_bound=pair_bound,
+                s_bound=s_bound,
+                malcev_term=m,
+            )
+        status = "open"
+        verdict = Unknown("necessary-condition scan recorded; sufficiency unknown")
 
-    m = find_malcev_term(theory, s_bound, budget)
-    if m is not None:
-        return KernelPairReport(
-            status="proved_malcev",
-            verdict=Proved(f"Mal'cev term found: kernel pairs weakly preserved"),
-            pair_bound=pair_bound,
-            s_bound=s_bound,
-            malcev_term=m,
-        )
-
+    scan = check_weak_preservation(theory, kernel_pair_square(), pair_bound, s_bound, budget)
     report = KernelPairReport(
-        status="open",
-        verdict=Unknown("necessary-condition scan recorded; sufficiency unknown"),
+        status=status,
+        verdict=verdict,
         pair_bound=pair_bound,
         s_bound=s_bound,
+        pairs=scan.pairs,
+        open_pairs=[(c.u1, c.u2) for c in scan.pairs if c.witness is None],
+        unknown_compat=scan.unknown_compat,
     )
-    _scan_pairs(theory, pair_bound, s_bound, budget, report)
+    if status == "proved_trivial":
+        return report
 
     chain = find_hm_chain(theory, 3, s_bound, budget)
     if chain is not None:
@@ -343,24 +344,3 @@ def kernel_pair_report(
             f" s_bound={s_bound} (necessary condition open)"
         )
     return report
-
-
-def _scan_pairs(theory, pair_bound, s_bound, budget, report):
-    from .functor import free_algebra  # local import avoids a cycle
-
-    carrier = free_algebra(theory, TERNARY, pair_bound, budget).elements
-    for p in carrier:
-        for q in carrier:
-            status, _ = tri_equal(
-                theory, _t(p, _X, _X, _Y), _t(q, _X, _Y, _Y), budget
-            )
-            if status == "unknown":
-                report.unknown_compat.append((p, q))
-                continue
-            if status == "refuted":
-                continue
-            # the cheap tri_equal filter above stands in for find_s's decide
-            found = _first_s(theory, p, q, s_bound, budget)
-            report.pairs.append(PairScanEntry(p, q, found))
-            if found is None:
-                report.open_pairs.append((p, q))

@@ -1,4 +1,6 @@
+import errno
 import json
+import os
 import pathlib
 import subprocess
 import sys
@@ -125,6 +127,57 @@ def test_kernel_report_statuses(capsys):
     assert code == 2
     assert report["report_status"] == "open"
     assert report["open_pairs"] == []
+
+
+def test_kernel_report_rejects_s_bound_below_pair_bound(capsys):
+    semilattice = str(THEORIES / "semilattice.th")
+    argv = ["kernel-report", semilattice, "--pair-bound", "3", "--s-bound", "2"]
+    assert main(argv) == 3
+    assert capsys.readouterr().err == "error: s_bound must be >= pair_bound\n"
+
+
+class _ClosedPipe:
+    """A stdout whose reader has gone: every write raises EPIPE."""
+
+    def __init__(self, fd):
+        self.fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+    def fileno(self):
+        return self.fd
+
+
+def test_closed_stdout_keeps_the_verdict_exit_code(tmp_path, monkeypatch, capsys):
+    fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+    try:
+        monkeypatch.setattr(sys, "stdout", _ClosedPipe(fd))
+        assert main(["models", str(THEORIES / "three_perm.th"), "--size", "2"]) == 0
+        assert capsys.readouterr().err == ""
+        # bad input still reads as bad input
+        assert main(["models", str(tmp_path / "missing.th"), "--size", "2"]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "missing.th" in err[0]
+    finally:
+        os.close(fd)
+
+
+def test_closed_stdout_pipe_exits_quietly():
+    # the reader closes its end before the report is written; the exit code
+    # is the verdict's and nothing is reported at interpreter shutdown
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "freealg", "models", str(THEORIES / "three_perm.th"),
+         "--size", "2"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        cwd=str(THEORIES.parent),
+    )
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 0
+    assert err == b""
 
 
 def test_preserve_command(tmp_path, capsys):

@@ -89,24 +89,28 @@ def test_occurrence_must_belong_to_term(groups):
         is_independent(groups, p, occ)
 
 
-def test_derivative_scan_groups_refuted(groups):
-    rep = derivative_scan(groups, term_bound=6, q_bound=5)
-    assert rep.overall.is_refuted
-    # soundness of the refutation: the weak witness re-proves and the
-    # countermodel re-falsifies the independence equation in the model
-    refuting = [e for e in rep.entries if e.independence.is_refuted]
-    assert refuting
-    e = refuting[0]
-    assert decide(groups, e.weak_witness.instantiated).is_proved
-    v = e.independence
-    assert v.model.satisfies(groups)
-    # rebuild the independence equation exactly as the scan did and check
-    # the stored countermodel falsifies it
-    eq = _independence_eq(e)
-    assert eval_term(v.model, eq.lhs, v.assignment) != eval_term(
-        v.model, eq.rhs, v.assignment
-    )
-    assert is_independent(groups, e.term, VarOccurrence(e.term, e.occurrence)).is_refuted
+def test_derivative_scan_groups_refuted(groups, malcev_theory):
+    # malcev.th too: congruence-modular varieties never preserve preimages,
+    # and outside the catalog the weak-independence witness comes from
+    # proof search
+    for th in (groups, malcev_theory):
+        rep = derivative_scan(th, term_bound=6, q_bound=5)
+        assert rep.overall.is_refuted
+        # soundness of the refutation: the weak witness re-proves and the
+        # countermodel re-falsifies the independence equation in the model
+        refuting = [e for e in rep.entries if e.independence.is_refuted]
+        assert refuting
+        e = refuting[0]
+        assert decide(th, e.weak_witness.instantiated).is_proved
+        v = e.independence
+        assert v.model.satisfies(th)
+        # rebuild the independence equation exactly as the scan did and check
+        # the stored countermodel falsifies it
+        eq = _independence_eq(e)
+        assert eval_term(v.model, eq.lhs, v.assignment) != eval_term(
+            v.model, eq.rhs, v.assignment
+        )
+        assert is_independent(th, e.term, VarOccurrence(e.term, e.occurrence)).is_refuted
 
 
 def _independence_eq(entry):

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from itertools import product
 
@@ -9,7 +10,9 @@ from freealg.dsl import parse_equation, parse_term, parse_theory
 from freealg.engine import (
     Budget,
     FiniteAlgebra,
+    Proved,
     RewriteTrace,
+    Unknown,
     _ModelSearch,
     _neighbors,
     _query_pool,
@@ -96,6 +99,36 @@ def test_prove_produces_replayable_trace_without_catalog():
     assert v.is_proved and isinstance(v.witness, RewriteTrace)
     assert len(v.witness.steps) >= 1
     assert replay(th, eq, v)
+
+
+def test_replay_rejects_tampered_traces():
+    th = parse_theory(
+        """
+        signature: mul/2 inv/1 e/0 c/0
+        equations:
+          mul(mul(x, y), z) = mul(x, mul(y, z))
+          mul(e(), x) = x
+          mul(x, e()) = x
+          mul(inv(x), x) = e()
+          mul(x, inv(x)) = e()
+        """
+    )
+    eq = eq_of(th, "mul(x, mul(inv(x), y)) = y")
+    v = prove(th, eq, Budget(9, 5000, 2))
+    assert replay(th, eq, v)
+    first, *rest = v.witness.steps
+    assert first.binding  # the rewritten side has variables, so a binding shows
+    unbound = tuple((name, Var("w")) for name, _ in first.binding)
+    tampered = [
+        dataclasses.replace(first, before=eq.rhs),
+        dataclasses.replace(first, binding=unbound),
+        dataclasses.replace(first, after=first.before),
+    ]
+    for step in tampered:
+        assert replay(th, eq, Proved(RewriteTrace((step, *rest)))) is False
+    assert replay(th, eq, Proved(RewriteTrace(v.witness.steps[:-1]))) is False
+    assert replay(th, eq, Proved("not a trace")) is False
+    assert replay(th, eq, Unknown("no verdict")) is False
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@ from freealg.engine import Budget, decide, eval_term
 from freealg.functor import free_algebra, functor_map, is_idempotent
 from freealg.terms import App, Equation, Var
 
-from oracles import group_word, meet_set
+from oracles import abelian_exponents, group_word, meet_set
 
 
 def test_free_algebra_empty_theory_is_the_variable_set(empty_theory):
@@ -31,15 +31,28 @@ def test_idempotent_theory_collapses_one_generator(malcev_theory, small_budget):
     assert carrier.elements == (Var("x"),)
 
 
-def test_free_group_carrier_matches_word_oracle(groups):
-    carrier = free_algebra(groups, ("x", "y"), 3)
-    words = {group_word(groups.signature, t) for t in carrier.elements}
-    assert len(words) == len(carrier.elements)  # pairwise distinct words
+def test_free_group_carrier_matches_word_oracle(groups, abelian):
     # oracle: reduced words representable by terms of size <= 3
-    expected = {(), (("x", 1),), (("y", 1),), (("x", -1),), (("y", -1),)}
-    expected |= {((a, 1), (b, 1)) for a in "xy" for b in "xy"}
-    assert words == expected
-    assert len(carrier.elements) == 9
+    group_words = {(), (("x", 1),), (("y", 1),), (("x", -1),), (("y", -1),)}
+    group_words |= {((a, 1), (b, 1)) for a in "xy" for b in "xy"}
+    # abelian: terms of size <= 4 reach every exponent vector of norm <= 2
+    abelian_words = {
+        frozenset((n, e) for n, e in (("x", a), ("y", b)) if e)
+        for a in range(-2, 3)
+        for b in range(-2, 3)
+        if abs(a) + abs(b) <= 2
+    }
+    cases = (
+        (groups, 3, group_word, group_words, 9),
+        (abelian, 4, lambda sig, t: frozenset(abelian_exponents(sig, t).items()),
+         abelian_words, 13),
+    )
+    for th, bound, word, expected, size in cases:
+        carrier = free_algebra(th, ("x", "y"), bound)
+        words = {word(th.signature, t) for t in carrier.elements}
+        assert len(words) == len(carrier.elements)  # pairwise distinct words
+        assert words == expected
+        assert len(carrier.elements) == size
 
 
 def test_closed_terms_over_empty_variable_set(groups, semilattice):

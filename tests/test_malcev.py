@@ -2,13 +2,16 @@ import pytest
 
 from freealg.dsl import parse_term
 from freealg.engine import Budget, decide
+from freealg.finset import is_pullback
 from freealg.malcev import (
+    QUATERNARY,
     MalcevChain,
     construct_s_via_malcev,
     find_hm_chain,
     find_malcev_term,
     find_s,
     kernel_pair_report,
+    kernel_pair_square,
     malcev_equations,
     shorten_chain,
     verify_chain,
@@ -194,7 +197,7 @@ def test_kernel_pair_report_empty_theory(empty_theory, small_budget):
     assert rep.status == "proved_trivial"
     assert rep.verdict.is_proved
     assert rep.malcev_term is None
-    assert rep.pairs and all(e.s is not None for e in rep.pairs)
+    assert rep.pairs and all(e.witness is not None for e in rep.pairs)
     assert rep.open_pairs == []
 
 
@@ -207,13 +210,28 @@ def test_kernel_pair_report_semilattice(semilattice):
     # subset oracle cross-check on every scanned pair that got a witness:
     # p = s(x,y,z,z) and q = s(x,x,y,z) as variable sets
     for entry in rep.pairs:
-        assert entry.s is not None
-        s_zz = substitute(entry.s, {"u": Var("z")})
-        assert meet_set(s_zz) == meet_set(entry.p)
+        assert entry.witness is not None
+        s_zz = substitute(entry.witness, {"u": Var("z")})
+        assert meet_set(s_zz) == meet_set(entry.u1)
         s_xxyz = apply_args(
-            entry.s, ("x", "y", "z", "u"), (Var("x"), Var("x"), Var("y"), Var("z"))
+            entry.witness, ("x", "y", "z", "u"), (Var("x"), Var("x"), Var("y"), Var("z"))
         )
-        assert meet_set(s_xxyz) == meet_set(entry.q)
+        assert meet_set(s_xxyz) == meet_set(entry.u2)
+
+
+def test_kernel_pair_square_is_a_pullback_of_epis():
+    sq = kernel_pair_square()
+    assert sq.f1.is_surjective() and sq.f2.is_surjective()
+    assert is_pullback((QUATERNARY, sq.p1, sq.p2), sq.f1, sq.f2)
+    assert sq.apex == QUATERNARY
+
+
+def test_kernel_pair_report_rejects_bad_bounds(semilattice):
+    with pytest.raises(ValueError, match="s_bound must be >= pair_bound"):
+        kernel_pair_report(semilattice, 3, 2)
+    for pair_bound, s_bound in ((0, 3), (3, 0), (0, 0)):
+        with pytest.raises(ValueError, match="bounds must be >= 1"):
+            kernel_pair_report(semilattice, pair_bound, s_bound)
 
 
 def test_kernel_agreement_via_explicit_construction(groups, malcev_theory, small_budget):
