@@ -110,12 +110,7 @@ def is_weakly_independent(
     nf = catalog_normalizer(theory)
     if nf is not None:
         lhs_keys = [(choice, nf.key(instantiate(choice))) for choice in assignments]
-        tested = set()
-        for q in enumerate_terms(theory, ("y",), q_bound):
-            qk = nf.key(q)
-            if qk in tested:
-                continue
-            tested.add(qk)
+        for q, qk in theory.derived(_catalog_targets, q_bound):
             for choice, lk in lhs_keys:
                 if lk == qk:
                     return _witness_verdict(others, choice, q, instantiate(choice))
@@ -126,6 +121,19 @@ def is_weakly_independent(
                 if tri_equal(theory, lhs, q, budget)[0] == "proved":
                     return _witness_verdict(others, choice, q, lhs)
     return Unknown(f"no weak-independence witness up to q_bound={q_bound}")
+
+
+def _catalog_targets(theory: Theory, q_bound: int) -> list[tuple[Term, object]]:
+    """The terms in y up to q_bound with their normal-form keys, keeping only
+    the first term in canonical order for each key."""
+    nf = catalog_normalizer(theory)
+    targets, seen = [], set()
+    for q in enumerate_terms(theory, ("y",), q_bound):
+        qk = nf.key(q)
+        if qk not in seen:
+            seen.add(qk)
+            targets.append((q, qk))
+    return targets
 
 
 def _witness_verdict(others, choice, q, lhs) -> Verdict:

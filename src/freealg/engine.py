@@ -820,7 +820,15 @@ def _fingerprint_models(theory: Theory, limit: int) -> list[FiniteAlgebra]:
 
 def tri_equal(theory: Theory, a: Term, b: Term, budget: Budget = DEFAULT_BUDGET):
     """Returns ("proved", Verdict) | ("refuted", (model, env) | None) |
-    ("unknown", reason)."""
+    ("unknown", reason).
+
+    The result is kept in the theory's memo, one per (a, b, budget), so the
+    returned tuple, its verdict and its assignment dict are shared between
+    callers and must not be mutated."""
+    return theory.derived(_tri_equal, a, b, budget)
+
+
+def _tri_equal(theory: Theory, a: Term, b: Term, budget: Budget):
     if a == b:
         return ("proved", Proved(RewriteTrace(())))
     nf = catalog_normalizer(theory)

@@ -132,17 +132,17 @@ def find_hm_chain(
         m = find_malcev_term(theory, size_bound, budget)
         return MalcevChain((m,)) if m is not None else None
     candidates = list(enumerate_terms(theory, TERNARY, size_bound))
+    heads = [_t(cand, _X, _Y, _Y) for cand in candidates]  # cand(x, y, y)
 
     def extend(prefix: list[Term]) -> Optional[list[Term]]:
+        tail = _t(prefix[-1], _X, _X, _Y) if prefix else None  # p_i(x, x, y)
         if len(prefix) == n - 1:
-            return prefix if _proved(theory, _t(prefix[-1], _X, _X, _Y), _Y, budget) else None
-        for cand in candidates:
-            if not prefix:
-                ok = _proved(theory, _t(cand, _X, _Y, _Y), _X, budget)
+            return prefix if _proved(theory, tail, _Y, budget) else None
+        for cand, head in zip(candidates, heads):
+            if tail is None:
+                ok = _proved(theory, head, _X, budget)
             else:
-                ok = _proved(
-                    theory, _t(prefix[-1], _X, _X, _Y), _t(cand, _X, _Y, _Y), budget
-                )
+                ok = _proved(theory, tail, head, budget)
             if ok:
                 out = extend(prefix + [cand])
                 if out is not None:

@@ -301,36 +301,31 @@ def enumerate_terms(
     in canonical order.
 
     The stream is size-major, so consumers searching for a small witness can
-    stop early without paying for the large size classes.
+    stop early without paying for the large size classes. Each size class is
+    built once per theory and kept in its memo.
     """
     if max_size < 1:
         raise TermError("max_size must be >= 1")
-    sig = theory.signature
-    rank = {v: i for i, v in enumerate(variables)}
-    if len(rank) != len(variables):
+    variables = tuple(variables)
+    if len(set(variables)) != len(variables):
         raise TermError("variable list contains duplicates")
-
-    by_size: dict[int, list[Term]] = {}
-
-    def of_size(s: int) -> list[Term]:
-        got = by_size.get(s)
-        if got is not None:
-            return got
-        if s == 1:
-            out = [Var(v) for v in variables]
-            out += [App(c, ()) for c in sig.constants()]
-        else:
-            out = []
-            for idx, (_, arity) in enumerate(sig.symbols):
-                if arity == 0:
-                    continue
-                for split in _compositions(s - 1, arity):
-                    pools = [of_size(part) for part in split]
-                    for args in product(*pools):
-                        out.append(App(idx, args))
-            out.sort(key=lambda t: term_key(t, rank))
-        by_size[s] = out
-        return out
-
     for s in range(1, max_size + 1):
-        yield from of_size(s)
+        yield from theory.derived(_size_class, variables, s)
+
+
+def _size_class(theory: Theory, variables: tuple[str, ...], s: int) -> list[Term]:
+    """The terms over variables of size exactly s, in canonical order."""
+    sig = theory.signature
+    if s == 1:
+        return [Var(v) for v in variables] + [App(c, ()) for c in sig.constants()]
+    out = []
+    for idx, (_, arity) in enumerate(sig.symbols):
+        if arity == 0:
+            continue
+        for split in _compositions(s - 1, arity):
+            pools = [theory.derived(_size_class, variables, part) for part in split]
+            for args in product(*pools):
+                out.append(App(idx, args))
+    rank = {v: i for i, v in enumerate(variables)}
+    out.sort(key=lambda t: term_key(t, rank))
+    return out

@@ -14,10 +14,12 @@ from freealg.terms import (
     TermError,
     Var,
     VarOccurrence,
+    _size_class,
     replace_at,
     var_positions,
 )
 
+from conftest import load
 from oracles import group_word, meet_set
 
 
@@ -125,6 +127,21 @@ def _independence_eq(entry):
             i += 1
             sig_l[v] = sig_r[v] = Var(f"z{i}")
     return Equation(substitute(entry.term, sig_l), substitute(entry.term, sig_r))
+
+
+def test_repeated_derivative_scan_builds_no_size_class():
+    # enumerated size classes and the catalog targets are kept in the
+    # theory's memo: a second scan enumerates nothing anew
+    th = load("groups.th")
+
+    def size_classes():
+        return sum(1 for key in th._memo if key[0] is _size_class)
+
+    first = derivative_scan(th, 4, 3)
+    built = size_classes()
+    assert built > 0
+    assert derivative_scan(th, 4, 3) == first
+    assert size_classes() == built
 
 
 def test_derivative_scan_semilattice_clean(semilattice):

@@ -463,6 +463,31 @@ def test_refute_verdicts_are_cache_warmth_independent(warm_theories, data):
         assert cold.reason == hot.reason and cold.detail == hot.detail
 
 
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_tri_equal_is_cache_warmth_independent(warm_theories, data):
+    # tri_equal results are kept in the theory's memo: a hit must equal what
+    # a fresh parse computes, whatever other queries ran before it
+    name = data.draw(st.sampled_from(_WARMTH_THEORIES))
+    warm = warm_theories[name]
+    sig = warm.signature
+    budgets = st.builds(Budget, st.just(7), st.sampled_from((30, 150)), st.integers(1, 2))
+    a, b, budget = data.draw(terms_upto(sig, 6)), data.draw(terms_upto(sig, 6)), data.draw(budgets)
+    warmup = [
+        (data.draw(st.booleans()), data.draw(terms_upto(sig, 6)), data.draw(terms_upto(sig, 6)),
+         data.draw(budgets))
+        for _ in range(data.draw(st.integers(0, 4)))
+    ]
+    # sometimes the query itself, or its mirror, is already in the memo
+    warmup += data.draw(st.sampled_from(([], [(False, a, b, budget)], [(False, b, a, budget)])))
+    for via_prove, x, y, bx in data.draw(st.permutations(warmup)):
+        if via_prove:
+            prove(warm, Equation(x, y), bx)
+        else:
+            tri_equal(warm, x, y, bx)
+    assert tri_equal(load(name), a, b, budget) == tri_equal(warm, a, b, budget)
+
+
 def test_engine_keeps_no_module_level_state(small_budget):
     # what the engine derives from a theory lives on that theory: running it
     # on a fresh one must grow no module-level container in freealg.*

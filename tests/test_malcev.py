@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from freealg.dsl import parse_term
@@ -18,6 +20,7 @@ from freealg.malcev import (
 )
 from freealg.terms import Equation, Var, apply_args, enumerate_terms, substitute
 
+from conftest import load
 from oracles import group_word, meet_set
 
 
@@ -286,6 +289,24 @@ def test_kernel_pair_report_evidence_against():
     assert rep.malcev_term is None
     assert rep.hm_chain is not None and rep.hm_chain.n == 3
     assert verify_chain(th, rep.hm_chain, b).is_proved
+
+
+def test_kernel_pair_report_proves_each_distinct_query_once(monkeypatch):
+    # tri_equal keeps its results in the theory's memo, so a repeated
+    # equality test costs no second proof search
+    from freealg import engine
+
+    proofs = Counter()
+    real_prove = engine.prove
+
+    def counting_prove(theory, eq, budget=engine.DEFAULT_BUDGET):
+        proofs[(eq, budget)] += 1
+        return real_prove(theory, eq, budget)
+
+    monkeypatch.setattr(engine, "prove", counting_prove)
+    rep = kernel_pair_report(load("three_perm.th"), 3, 6)
+    assert rep.status == "evidence_against"
+    assert proofs and set(proofs.values()) == {1}
 
 
 def test_iterated_shortening_reaches_a_malcev_term(groups):

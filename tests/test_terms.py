@@ -1,4 +1,5 @@
 import pickle
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -27,6 +28,7 @@ from freealg.terms import (
     var_positions,
 )
 
+from conftest import load
 from oracles import count_terms, naive_terms
 
 
@@ -150,7 +152,6 @@ def test_roundtrip_fixed_theories(groups, abelian, semilattice, malcev_theory, l
 
 
 def test_parses_are_equal_but_keep_separate_memos():
-    from conftest import load
     from freealg.engine import decide
 
     a, b = load("groups.th"), load("groups.th")
@@ -203,6 +204,35 @@ def theories(draw):
 @given(theories())
 def test_roundtrip_random(th):
     assert parse_theory(pretty_theory(th)) == th
+
+
+_ENUM_THEORIES = ("lattice.th", "three_perm.th", "malcev.th")
+
+
+@pytest.fixture(scope="module")
+def enum_warm():
+    return {name: load(name) for name in _ENUM_THEORIES}
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_enumeration_is_cache_warmth_independent(enum_warm, data):
+    # size classes are kept in the theory's memo: the stream must not depend
+    # on what earlier consumers built, or on where they stopped
+    name = data.draw(st.sampled_from(_ENUM_THEORIES))
+    variables = data.draw(st.lists(_vars, min_size=1, max_size=3, unique=True))
+    max_size = data.draw(st.integers(1, 5))
+    cold = list(enumerate_terms(load(name), tuple(variables), max_size))
+
+    partial = load(name)
+    stop = data.draw(st.integers(0, len(cold)))
+    list(islice(enumerate_terms(partial, variables, max_size), stop))
+    assert list(enumerate_terms(partial, tuple(variables), max_size)) == cold
+
+    warm = enum_warm[name]
+    list(islice(enumerate_terms(warm, tuple(variables), data.draw(st.integers(1, 5))), stop))
+    assert list(enumerate_terms(warm, variables, max_size)) == cold
+    assert list(enumerate_terms(warm, tuple(variables), max_size)) == cold
 
 
 @settings(max_examples=60, deadline=None)
