@@ -159,7 +159,8 @@ class FiniteAlgebra:
     def satisfies(self, theory: Theory) -> bool:
         for eq in theory.equations:
             cl, cr, vs = _eq_code(eq.lhs, eq.rhs)
-            if _first_difference(self, cl, cr, theory.derived(_grid, self.size, len(vs))) is not None:
+            assignments, columns = theory.derived(_grid, self.size, len(vs))
+            if _first_difference(cl, cr, self.tables, self.size, len(assignments), columns) is not None:
                 return False
         return True
 
@@ -195,7 +196,10 @@ def eval_term(algebra: FiniteAlgebra, t: Term, env: Mapping[str, int]) -> int:
 # arity) applies a symbol to the top arity values. Evaluated over the
 # assignment grid, a variable's value is its column and a symbol maps its
 # argument columns entry by entry, so a query costs one pass per node
-# instead of one walk per assignment.
+# instead of one walk per assignment. refute goes further and evaluates a
+# block of consecutive found models at once, laid end to end as one algebra
+# (see _block), so a pass per node covers every assignment of every model
+# in the block. A single model is the one-model block.
 
 
 def _code(t: Term, var_pos: dict) -> tuple:
@@ -234,22 +238,49 @@ def _grid(theory: Theory, k: int, nvars: int):
     return assignments, [list(col) for col in zip(*assignments)]
 
 
+def _block(theory: Theory, k: int, lo: int, hi: int) -> tuple[bytes, ...]:
+    """Found models lo..hi-1 of the size-k stream laid end to end as one
+    algebra, whose element j*k + x is x of model lo + j. Model j's part of an
+    arity-a table starts at j*(k + k**2 + ... + k**a), where the mixed-radix
+    offset of arguments from model j lands; a constant has one entry per
+    model. Ids must fit in a byte: at most 256 // k models."""
+    models = [alg for alg, _ in theory.derived(_ModelSearch, k).found[lo:hi]]
+    tables = []
+    for s, a in enumerate(models[0].arities):
+        stride = sum(k**i for i in range(1, a + 1)) or 1
+        tab = bytearray(stride * (len(models) - 1) + k**a)
+        for j, alg in enumerate(models):
+            tab[j * stride : j * stride + k**a] = map(range(j * k, j * k + k).__getitem__, alg.tables[s])
+        tables.append(bytes(tab))
+    return tuple(tables)
+
+
+def _block_grid(theory: Theory, k: int, nvars: int, count: int) -> list:
+    """The variable columns of _grid for a block of count models: model j's
+    copy shifted by j*k, the models in turn."""
+    return [[j * k + x for j in range(count) for x in col] for col in theory.derived(_grid, k, nvars)[1]]
+
+
 def _column(code, columns, tables, k: int, n: int) -> list:
-    """The values of code over an n-entry grid whose variable columns are
-    columns, under complete tables over {0..k-1}."""
+    """The values of code over grid columns under complete tables over
+    {0..k-1}, or over a block of such models (see _block), n entries per
+    model."""
     stack = []
     for op in code:
         if op[0] == 0:
             stack.append(columns[op[1]])
             continue
         tab, arity = tables[op[1]], op[2]
-        if arity == 0:
-            stack.append([tab[0]] * n)
+        if arity == 0:  # one value per model, each repeated n times
+            stack.append([v for v in tab for _ in range(n)] if len(tab) > 1 else [tab[0]] * n)
         elif arity == 1:
             stack.append([tab[a] for a in stack.pop()])
         elif arity == 2:
             b = stack.pop()
             stack.append([tab[x * k + y] for x, y in zip(stack.pop(), b)])
+        elif arity == 3:
+            c, b = stack.pop(), stack.pop()
+            stack.append([tab[(x * k + y) * k + z] for x, y, z in zip(stack.pop(), b, c)])
         else:
             args = stack[-arity:]
             del stack[-arity:]
@@ -260,13 +291,11 @@ def _column(code, columns, tables, k: int, n: int) -> list:
     return stack[0]
 
 
-def _first_difference(alg: FiniteAlgebra, cl, cr, grid) -> Optional[int]:
-    """Index of the first assignment in grid at which the codes cl and cr
-    take different values on alg, or None when they agree throughout."""
-    assignments, columns = grid
-    n = len(assignments)
-    left = _column(cl, columns, alg.tables, alg.size, n)
-    right = _column(cr, columns, alg.tables, alg.size, n)
+def _first_difference(cl, cr, tables, k: int, n: int, columns) -> Optional[int]:
+    """Index of the first grid entry at which the codes cl and cr take
+    different values (see _column), or None when they agree throughout."""
+    left = _column(cl, columns, tables, k, n)
+    right = _column(cr, columns, tables, k, n)
     if left == right:
         return None
     return list(map(ne, left, right)).index(True)
@@ -484,33 +513,62 @@ def refute(theory: Theory, eq: Equation, budget: Budget = DEFAULT_BUDGET) -> Ver
     spent = 0
     for k in range(1, budget.max_model_size + 1):
         s = theory.derived(_ModelSearch, k)
-        idx = 0
-        prev_cost = 0
+        found = s.found
         n = k ** len(vs)
         # a one-element model satisfies every equation: charged, not evaluated
         grid = theory.derived(_grid, k, len(vs)) if k > 1 else None
+        # found models lo..hi-1 are evaluated as one block (see _block) of 1,
+        # 1, 2, 4, ... models, so that a query refuted early pays for few, up
+        # to cap: 256 // k models, so that element ids fit in a byte, and 2**16
+        # entries in a column; at size 1 nothing is evaluated, so all models
+        # form one block
+        cap = 256 // k if n <= 256 else max(1, min(256 // k, 65536 // n))
+        lo, hi = 0, 1 if grid else cap
+        # room: what the budget leaves for this size's stream cost once the
+        # models evaluated so far are charged in full; model j fits when its
+        # search cost, plus a full charge for each model of the block before
+        # it, is at most room
+        room = budget.max_steps - spent
         while True:
-            if idx < len(s.found):
-                alg, cost_after = s.found[idx]
-            elif s.finished:
-                spent += s.final_cost - prev_cost
-                break
-            else:
-                if s.advance(s.cost + (budget.max_steps - spent)) == "paused":
+            while len(found) < hi and not s.finished:
+                if s.advance(room - n * (len(found) - lo) + 1) == "paused":
+                    break
+            # costs only grow, so the models that fit are a prefix
+            cut = top = hi if hi <= len(found) else len(found)
+            while cut > lo and found[cut - 1][1] + n * (cut - 1 - lo) > room:
+                cut -= 1
+            if cut > lo:
+                if grid is None:
+                    hit = None
+                elif cut - lo == 1:
+                    hit = _first_difference(cl, cr, found[lo][0].tables, k, n, grid[1])
+                else:
+                    # kept whole: all the block's models, or all the stream's
+                    # last ones and its end, fit; a block cut by the budget
+                    # is kept out of the memo and reads a prefix of the grid
+                    if cut == hi or (s.finished and cut == len(found) and s.final_cost + n * (cut - lo) <= room):
+                        tables = theory.derived(_block, k, lo, cut)
+                        columns = theory.derived(_block_grid, k, len(vs), cut - lo)
+                    else:
+                        tables = _block(theory, k, lo, cut)
+                        columns = [c[: (cut - lo) * n] for c in theory.derived(_block_grid, k, len(vs), hi - lo)]
+                    hit = _first_difference(cl, cr, tables, k, n, columns)
+                if hit is not None:
+                    # the models before the hit fit, so each was charged in full
+                    j, at = lo + hit // n, hit % n
+                    if found[j][1] + n * (j - lo) + at + 1 > room:
+                        return Unknown("model search step budget exhausted", detail=k)
+                    return Refuted(found[j][0], dict(zip(vs, grid[0][at])))
+                room -= n * (cut - lo)
+                if found[cut - 1][1] > room:  # not all of the last model's assignments fit
                     return Unknown("model search step budget exhausted", detail=k)
-                continue
-            delta = cost_after - prev_cost
-            if spent + delta > budget.max_steps:
-                return Unknown("model search step budget exhausted", detail=k)
-            spent += delta
-            prev_cost = cost_after
-            hit = None if grid is None else _first_difference(alg, cl, cr, grid)
-            if spent + (n if hit is None else hit + 1) > budget.max_steps:
-                return Unknown("model search step budget exhausted", detail=k)
-            if hit is not None:
-                return Refuted(alg, dict(zip(vs, grid[0][hit])))
-            spent += n
-            idx += 1
+            if cut < hi or (s.finished and cut == len(found)):
+                # the stream's end comes next only if every found model fit
+                if cut < top or not s.finished:
+                    return Unknown("model search step budget exhausted", detail=k)
+                spent = budget.max_steps - room + s.final_cost
+                break
+            lo, hi = hi, hi + (hi if hi < cap else cap)
         if spent > budget.max_steps:
             return Unknown("model search step budget exhausted", detail=k)
     return Unknown(f"no countermodel up to size {budget.max_model_size}")
@@ -841,7 +899,7 @@ def _tri_equal(theory: Theory, a: Term, b: Term, budget: Budget):
         if alg.size ** len(vs) > _FINGERPRINT_ASSIGNMENT_CAP:
             continue
         grid = theory.derived(_grid, alg.size, len(vs))
-        hit = _first_difference(alg, ca, cb, grid)
+        hit = _first_difference(ca, cb, alg.tables, alg.size, len(grid[0]), grid[1])
         if hit is not None:
             return ("refuted", (alg, dict(zip(vs, grid[0][hit]))))
     p = prove(theory, Equation(a, b), budget)

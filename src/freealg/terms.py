@@ -113,20 +113,36 @@ class App(Term):
 
 
 def check_term(sig: Signature, t: Term) -> None:
-    """Raise TermError unless t is well-formed over sig."""
-    if type(t) is Var:
-        return
-    if type(t) is App:
-        if not (0 <= t.sym < len(sig)):
-            raise TermError(f"symbol index {t.sym} out of range")
-        if len(t.args) != sig.arity(t.sym):
+    """Raise TermError unless t is well-formed over sig. Iterative, so any
+    depth is fine; of several errors, the first in preorder is raised."""
+    symbols = sig.symbols
+    level = [t]
+    while level:
+        below = []
+        for s in level:
+            if type(s) is App and 0 <= s.sym < len(symbols) and len(s.args) == symbols[s.sym][1]:
+                below += s.args
+            elif type(s) is not Var:
+                _raise_first_error(sig, t)
+        level = below
+
+
+def _raise_first_error(sig: Signature, t: Term) -> None:
+    """Raise the TermError for the first ill-formed node of t in preorder."""
+    stack = [t]
+    while stack:
+        s = stack.pop()
+        if type(s) is Var:
+            continue
+        if type(s) is not App:
+            raise TermError(f"not a term: {s!r}")
+        if not (0 <= s.sym < len(sig)):
+            raise TermError(f"symbol index {s.sym} out of range")
+        if len(s.args) != sig.arity(s.sym):
             raise TermError(
-                f"symbol {sig.name(t.sym)!r} expects {sig.arity(t.sym)} arguments, got {len(t.args)}"
+                f"symbol {sig.name(s.sym)!r} expects {sig.arity(s.sym)} arguments, got {len(s.args)}"
             )
-        for a in t.args:
-            check_term(sig, a)
-        return
-    raise TermError(f"not a term: {t!r}")
+        stack.extend(reversed(s.args))
 
 
 @dataclass(frozen=True)
@@ -163,9 +179,12 @@ class Theory:
     def derived(self, build, *args):
         """build(self, *args), memoized on (build, *args) for this theory's life."""
         key = (build, *args)
-        if key not in self._memo:
-            self._memo[key] = build(self, *args)
-        return self._memo[key]
+        try:
+            return self._memo[key]
+        except KeyError:
+            pass
+        value = self._memo[key] = build(self, *args)
+        return value
 
 
 # ---------------------------------------------------------------------------

@@ -435,7 +435,9 @@ def reference_refute(theory, eq: Equation, budget):
                 spent += s.final_cost - prev_cost
                 break
             else:
-                if s.advance(s.cost + (budget.max_steps - spent)) == "paused":
+                # the next model, or the end of the stream, is reached only
+                # when its cost fits, however far the stream has already run
+                if s.advance(prev_cost + budget.max_steps - spent + 1) == "paused":
                     return Unknown("model search step budget exhausted", detail=k)
                 continue
             delta = cost_after - prev_cost

@@ -14,6 +14,7 @@ from freealg.engine import (
     RewriteTrace,
     Unknown,
     _ModelSearch,
+    _block,
     _neighbors,
     _query_pool,
     _rules,
@@ -27,7 +28,7 @@ from freealg.engine import (
     replay,
     tri_equal,
 )
-from freealg.terms import App, Equation, Signature, TermError, Theory, Var
+from freealg.terms import App, Equation, Signature, TermError, Theory, Var, check_term, substitute
 
 from conftest import load
 from oracles import (
@@ -283,6 +284,29 @@ def test_eval_term_is_iterative(lattice):
             assert eval_term(model, t, {"x": v}) == v
 
 
+def test_check_term_is_iterative(lattice):
+    # the same chain as above: checking it must not recurse once per level
+    meet = lattice.signature.index("meet")
+    x = Var("x")
+    t = x
+    for _ in range(5000):
+        t = App(meet, (t, x))
+    check_term(lattice.signature, t)
+    v = refute(lattice, Equation(t, x))
+    assert v.is_unknown and v.reason == "no countermodel up to size 3"
+    # of several errors, the first in preorder is raised: here the one at the
+    # bottom of the left spine, not the shallower one on the right
+    bad = App(meet, (App(meet, ()), x))
+    for _ in range(5000):
+        bad = App(meet, (bad, x))
+    with pytest.raises(TermError, match="'meet' expects 2 arguments, got 0"):
+        check_term(lattice.signature, App(meet, (bad, App(7, ()))))
+    with pytest.raises(TermError, match="symbol index 7 out of range"):
+        check_term(lattice.signature, App(meet, (t, App(7, ()))))
+    with pytest.raises(TermError, match="not a term: 'y'"):
+        check_term(lattice.signature, "y")
+
+
 def test_refute_deep_parsed_equation_gives_a_verdict(lattice):
     eq = eq_of(lattice, "meet(" * 900 + "x" + ", x)" * 900 + " = x")
     v = refute(lattice, eq)
@@ -526,15 +550,15 @@ def named_theories():
 
 
 @st.composite
-def terms_upto(draw, sig, max_size):
-    """A term over sig and the variables x, y of size at most max_size,
-    filling a drawn size as far as the arities allow."""
+def terms_upto(draw, sig, max_size, variables=("x", "y")):
+    """A term over sig and the variables (x, y by default) of size at most
+    max_size, filling a drawn size as far as the arities allow."""
     budget = draw(st.integers(1, max_size))
 
     def fill(budget):
         heads = [i for i in range(len(sig)) if 0 < sig.arity(i) < budget]
         if not heads:
-            leaves = [Var(v) for v in ("x", "y")] + [App(c, ()) for c in sig.constants()]
+            leaves = [Var(v) for v in variables] + [App(c, ()) for c in sig.constants()]
             return draw(st.sampled_from(leaves))
         head = draw(st.sampled_from(heads))
         spare = budget - 1 - sig.arity(head)  # nodes beyond one per argument
@@ -694,3 +718,162 @@ def test_column_replay_matches_the_dict_per_assignment_reference(named_theories,
     )
     alg = FiniteAlgebra(k, tuple(a for _, a in sig.symbols), tables)
     assert alg.satisfies(th) == reference_satisfies(alg, th)
+
+
+def _block_edges(th, eq, size, limit):
+    """Step budgets up to limit at which refute reaches the edge of a block
+    (see refute) when no model falsifies eq: where the search cost of the
+    block's first model fits, where the models before it are charged in full,
+    and where each size ends."""
+    nvars = len(equation_vars(eq.lhs, eq.rhs))
+    edges, base = [], 0
+    for k in range(1, size + 1):
+        s = th.derived(ReferenceModelSearch, k)
+        while s.advance(limit - base + 1) == "found":
+            pass
+        n = k**nvars
+        lo = 1 if k > 1 else len(s.found)  # size 1 is one block
+        while lo < len(s.found):
+            edges += [base + s.found[lo][1] + n * lo, base + s.found[lo - 1][1] + n * lo]
+            lo += min(lo, 256 // k)
+        if not s.finished:
+            break
+        base += s.final_cost + n * len(s.found)
+        edges.append(base)
+    return [e for e in edges if e <= limit]
+
+
+def _refuting_edge(th, eq, verdict):
+    """The least step budget at which refute finds the countermodel of a
+    Refuted verdict, and the index of that model in its size's stream."""
+    vs = equation_vars(eq.lhs, eq.rhs)
+    base = 0
+    for k in range(1, verdict.model.size):
+        s = th.derived(ReferenceModelSearch, k)
+        base += s.final_cost + k ** len(vs) * len(s.found)
+    k = verdict.model.size
+    found = th.derived(ReferenceModelSearch, k).found
+    j = [alg for alg, _ in found].index(verdict.model)
+    at = list(product(range(k), repeat=len(vs))).index(tuple(verdict.assignment[v] for v in vs))
+    return base + found[j][1] + k ** len(vs) * j + at + 1, j
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_block_replay_matches_the_reference_across_block_edges(named_theories, data):
+    # mostly true equations, so that refute crosses many blocks of models
+    named = data.draw(st.booleans())
+    if named:
+        th = named_theories[data.draw(st.sampled_from(("malcev.th", "three_perm.th", "groups.th")))]
+    else:
+        th = data.draw(small_theories())
+    sig = th.signature
+    # ground equations, where every hit is at a model's last assignment, and
+    # equations in one and in three variables
+    choices = (("x",), ("x", "y", "z")) + (((), ()) if sig.constants() else ())
+    names = data.draw(st.sampled_from(choices))
+    lhs = data.draw(terms_upto(sig, 6, names))
+    kinds = ("derived",) * 3 + ("swapped", "random") if named else ("derived", "swapped", "random")
+    kind = data.draw(st.sampled_from(kinds))
+    rhs, pool = lhs, _query_pool(th, lhs)
+    if kind == "derived":
+        for _ in range(data.draw(st.integers(1, 3))):
+            nbrs = reference_neighbors(th, rhs, 8, pool)
+            if nbrs:
+                rhs = data.draw(st.sampled_from(nbrs))[0]
+    elif kind == "swapped" and names:
+        # true in the nearly constant models that come first, false in many
+        # of those after them
+        rhs = substitute(lhs, {"x": Var("y"), "y": Var("x")})
+    else:
+        rhs = data.draw(terms_upto(sig, 6, names))
+    eq = Equation(lhs, rhs)
+    size = data.draw(st.sampled_from((1, 2, 3, 3)))
+    # log-uniform up to 200,000, and the budgets on either side of a few
+    # block edges: below 200,000 on the named theories, whose streams are
+    # shared between examples, and below 20,000 on the others
+    rng = data.draw(st.randoms(use_true_random=False))
+    limit = int(10 ** rng.uniform(0, 5.3))
+    edges = _block_edges(th, eq, size, 200_000 if named else max(limit, 20_000))
+    steps = [limit]
+    for e in rng.sample(edges, min(4, len(edges))):
+        steps += [e - 1, e, e + 1]
+    # and on either side of the refutation, where an off-by-one in the
+    # charge for the assignments, or in the model a hit falls in, would show
+    first = reference_refute(th, eq, Budget(7, max(steps), size))
+    if first.is_refuted:
+        e, j = _refuting_edge(th, eq, first)
+        steps += [e - 1, e]
+        event("refuted at model 0, 1" if j < 2 else "refuted at model 2+")
+    event(f"{len(edges)} edges" if len(edges) < 8 else "8+ edges")
+    for max_steps in sorted({s for s in steps if s >= 1}):
+        budget = Budget(max_term_size=7, max_steps=max_steps, max_model_size=size)
+        got, want = refute(th, eq, budget), reference_refute(th, eq, budget)
+        assert type(got) is type(want)
+        if want.is_refuted:
+            assert got.model == want.model and got.assignment == want.assignment
+        else:
+            assert got.reason == want.reason and got.detail == want.detail
+
+
+def test_block_replay_finds_hits_inside_a_block():
+    # ground equations hold in the first, all-zero model and fail in a later
+    # one, at its last (and only) assignment: models 3, 6 and 7 of size 2,
+    # inside the blocks of models 2..3 and 4..7
+    th = parse_theory(
+        """
+        signature: f/2 c/0
+        equations:
+          f(f(x, y), z) = f(x, f(y, z))
+        """
+    )
+    for text, model in (("f(c(), x) = f(c(), c())", 3), ("c() = f(c(), c())", 6),
+                        ("f(f(c(), c()), c()) = c()", 7)):
+        eq = eq_of(th, text)
+        edge, j = _refuting_edge(th, eq, reference_refute(th, eq, Budget(7, 200_000, 2)))
+        assert j == model
+        for steps in (edge - 1, edge, 200_000):
+            budget = Budget(7, steps, 2)
+            assert refute(th, eq, budget) == reference_refute(th, eq, budget)
+
+
+def _block_keys(th):
+    return {key[1:] for key in th._memo if key[0] is _block}
+
+
+def test_block_memo_entries_follow_the_query_not_the_memo():
+    # a deterministic work counter: which block tables refute keeps
+    th = load("malcev.th")
+    first = refute(th, eq_of(th, "m(x, y, z) = x"))
+    assert first.is_refuted and first.model == th.derived(_ModelSearch, 2).found[0][0]
+    assert not _block_keys(th)  # refuted at the first model of a size
+    true_eq = eq_of(th, "m(m(x, y, y), z, z) = x")
+    assert refute(th, true_eq).reason == "model search step budget exhausted"
+    kept = _block_keys(th)
+    assert {(2, 2, 4)} < kept and (3, 64, 128) in kept and (3, 128, 213) in kept
+    assert refute(th, true_eq).is_unknown and _block_keys(th) == kept
+
+    queries = [
+        (true_eq, Budget(9, steps, 3)) for steps in (700, 5_000, 33_333, 200_000)
+    ] + [(eq_of(th, "m(x, y, m(y, x, x)) = m(y, x, x)"), Budget(9, 90_000, 3))]
+    cold, warm = load("malcev.th"), load("malcev.th")
+    find_models(warm, 2)
+    while warm.derived(_ModelSearch, 3).advance(300_000) == "found":
+        pass
+    for eq, budget in queries:
+        assert refute(cold, eq, budget) == refute(warm, eq, budget)
+    assert _block_keys(cold) == _block_keys(warm) and _block_keys(cold)
+
+
+def test_refute_is_cache_warmth_independent_at_the_end_of_a_stream(lattice):
+    # the budget that exactly pays for the whole size-1 stream and its one
+    # model: a stream that has already finished must not change the verdict
+    s = _ModelSearch(lattice, 1)
+    while not s.finished:
+        s.advance(float("inf"))
+    eq = eq_of(lattice, "meet(x, y) = meet(y, x)")
+    budget = Budget(9, s.final_cost + len(s.found), 1)
+    cold, warm = load("lattice.th"), load("lattice.th")
+    find_models(warm, 1)
+    assert refute(cold, eq, budget) == refute(warm, eq, budget) == Unknown("no countermodel up to size 1")
+    assert refute(lattice, eq, dataclasses.replace(budget, max_steps=budget.max_steps - 1)).detail == 1
